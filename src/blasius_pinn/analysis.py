@@ -12,6 +12,8 @@ from .network import NetworkConfig, ParamVector, forward_jet_batch
 from .optim import AdamConfig, LbfgsConfig, TrainingReport, train
 from .oracle import SolutionTable
 
+TABULATE_BLOCK = 4096     # nodes per forward pass in tabulate
+
 
 @dataclass
 class ComparisonReport:
@@ -38,10 +40,17 @@ def eta99(eta: np.ndarray, fp: np.ndarray) -> float:
 
 
 def tabulate(p: ParamVector, etas: np.ndarray) -> SolutionTable:
-    """Evaluate the network on a grid as a SolutionTable (with residuals)."""
-    y = forward_jet_batch(p, etas)
+    """Evaluate the network on a grid as a SolutionTable (with residuals).
+
+    The forward pass runs over blocks of TABULATE_BLOCK nodes, so its
+    working memory does not grow with the table.
+    """
+    etas = np.asarray(etas, dtype=float)
+    y = np.empty((4, etas.size))
+    for lo in range(0, etas.size, TABULATE_BLOCK):
+        y[:, lo : lo + TABULATE_BLOCK] = forward_jet_batch(p, etas[lo : lo + TABULATE_BLOCK])
     res = y[3] + 0.5 * y[0] * y[2]
-    return SolutionTable(np.asarray(etas, dtype=float), y[0], y[1], y[2], res)
+    return SolutionTable(etas, y[0], y[1], y[2], res)
 
 
 def compare_tables(pred: SolutionTable, oracle: SolutionTable,

@@ -26,14 +26,25 @@ from .oracle import backward_blowup, shoot
 from .plotting import plot_solution_table
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _atomic(path, write_fn):
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.
+
+    mkstemp creates the temp file with mode 0600; it is given the mode a
+    plain open() would have given it (0666 less the umask) before the rename.
+    """
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     os.close(fd)
     try:
         write_fn(tmp)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -162,7 +173,7 @@ def _cmd_probe_negative(cfg: RunConfig, out_dir: str, seed: int | None) -> int:
         ("median_fppp", sing.median_fppp),
         ("pole_eta", sing.pole_eta if sing.pole_eta is not None else float("nan")),
         ("final_loss", sing.final_loss),
-        ("oracle_blowup_eta", blowup_eta),
+        ("oracle_blowup_eta", blowup_eta if blowup_eta is not None else float("nan")),
         ("converged", int(sing.converged)),
         ("lbfgs_status", sing.report.lbfgs_status),
     ]
@@ -172,8 +183,9 @@ def _cmd_probe_negative(cfg: RunConfig, out_dir: str, seed: int | None) -> int:
                 lambda tmp: plot_solution_table(table, tmp, title="Negative-axis extension"))
     onset = "none" if sing.onset_eta is None else f"{sing.onset_eta:.4f}"
     pole = "none" if sing.pole_eta is None else f"{sing.pole_eta:.4f}"
+    blowup = "none" if blowup_eta is None else f"{blowup_eta:.5f}"
     print(f"ok mode=probe-negative onset_eta={onset} pole_eta={pole} "
-          f"oracle_blowup_eta={blowup_eta:.5f} final_loss={sing.final_loss:.6g} "
+          f"oracle_blowup_eta={blowup} final_loss={sing.final_loss:.6g} "
           f"lbfgs_status={sing.report.lbfgs_status}")
     return 0
 

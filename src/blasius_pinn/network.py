@@ -133,19 +133,24 @@ def forward_jet_batch(p: ParamVector, etas: np.ndarray, want_cache: bool = False
     """
     etas = np.asarray(etas, dtype=np.float64).ravel()
     n = etas.size
-    a = np.zeros((4, n, 1))
-    a[0, :, 0] = etas
-    a[1, :, 0] = 1.0
     layers = list(p.layers())
     cache = [] if want_cache else None
+    a = etas
     for li, (w, b) in enumerate(layers):
         fo = w.shape[0]
-        # affine: all four channels share the weights; bias enters the value
-        # channel only (it is a constant jet)
-        z = (a.reshape(4 * n, -1) @ w.T).reshape(4, n, fo)
+        if li == 0:
+            # the input jet is (eta, 1, 0, 0): the affine is an outer product
+            # and channels d2, d3 stay zero
+            z = np.zeros((4, n, fo))
+            np.multiply.outer(etas, w[:, 0], out=z[0])
+            z[1] = w[:, 0]
+        else:
+            # all four channels share the weights
+            z = (a.reshape(4 * n, -1) @ w.T).reshape(4, n, fo)
+        # the bias enters the value channel only (it is a constant jet)
         z[0] += b
         if li < len(layers) - 1:
-            zf = np.ascontiguousarray(z.reshape(4, n * fo))
+            zf = z.reshape(4, n * fo)
             outf, t = kernels.tanh_jet_forward(zf)
             if want_cache:
                 cache.append((a, zf, t))
@@ -164,29 +169,27 @@ def backward_jet_batch(p: ParamVector, cache, ybar: np.ndarray) -> np.ndarray:
     """Adjoint of forward_jet_batch: gradient of sum(ybar * y) w.r.t. params."""
     n = ybar.shape[1]
     layers = list(p.layers())
-    grads = [None] * len(layers)
+    flat = np.empty(len(p))
+    grads = list(ParamVector(flat, p.shapes).layers())
     zbar = ybar.reshape(4, n, 1)
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
+        wbar, bbar = grads[li]
         a_in, zf, t = cache[li]
         fo = w.shape[0]
         if li < len(layers) - 1:
             zbar = kernels.tanh_jet_backward(t, zf, np.ascontiguousarray(zbar.reshape(4, n * fo)))
             zbar = zbar.reshape(4, n, fo)
-        zb2 = zbar.reshape(4 * n, fo)
-        ai2 = a_in.reshape(4 * n, -1)
-        wbar = zb2.T @ ai2
-        bbar = zbar[0].sum(axis=0)
-        grads[li] = (wbar, bbar)
-        if li > 0:
-            zbar = (zb2 @ w).reshape(4, n, -1)
-    flat = np.empty(len(p))
-    off = 0
-    for wbar, bbar in grads:
-        flat[off : off + wbar.size] = wbar.ravel()
-        off += wbar.size
-        flat[off : off + bbar.size] = bbar
-        off += bbar.size
+        zbar[0].sum(axis=0, out=bbar)
+        if li == 0:
+            # a_in is eta: of the input jet (eta, 1, 0, 0) only channels 0
+            # and 1 meet the weights
+            np.add(a_in @ zbar[0], zbar[1].sum(axis=0), out=wbar[:, 0])
+        else:
+            zb2 = zbar.reshape(4 * n, fo)
+            np.matmul(zb2.T, a_in.reshape(4 * n, -1), out=wbar)
+            # with one output (the last layer) the product is an outer product
+            zbar = zbar * w[0] if fo == 1 else (zb2 @ w).reshape(4, n, -1)
     return flat
 
 

@@ -109,19 +109,35 @@ def _cubic_min(a, fa, da, b, fb, db):
     return b - (b - a) * (db + d2 - d1) / denom
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product on the calling thread.  A BLAS ddot of this length is
+    handed to a second thread, which costs more than the product itself."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _strong_wolfe(f_and_g, x, f0, g0, d, cfg: LbfgsConfig, alpha0: float = 1.0):
     """Line search satisfying the strong Wolfe conditions.
+
+    Near a minimum the decrease c1 * alpha * phi'(0) that sufficient decrease
+    asks for falls below the rounding of f.  A trial point whose f is within
+    that rounding of f0 is then accepted on the approximate Wolfe conditions
+    c2 phi'(0) <= phi'(alpha) <= (2 c1 - 1) phi'(0) (Hager & Zhang 2005),
+    which test the slope instead of the last bits of f.
 
     Returns (ok, alpha, f, g, n_evals); on failure ok is False and
     (alpha, f, g) is the best point seen, never worse than the start.
     """
-    dphi0 = float(g0 @ d)
+    dphi0 = _dot(g0, d)
     if dphi0 >= 0.0:
         return False, 0.0, f0, g0, 0
+    f_flat = f0 + 4.0 * np.finfo(float).eps * abs(f0)
 
     def phi(alpha):
         f_a, g_a = f_and_g(x + alpha * d)
-        return f_a, g_a, float(g_a @ d)
+        return f_a, g_a, _dot(g_a, d)
+
+    def approx_wolfe(f_a, d_a):
+        return f_a <= f_flat and cfg.c2 * dphi0 <= d_a <= (2.0 * cfg.c1 - 1.0) * dphi0
 
     evals = 0
     best = (0.0, f0, g0)
@@ -142,6 +158,8 @@ def _strong_wolfe(f_and_g, x, f0, g0, d, cfg: LbfgsConfig, alpha0: float = 1.0):
             evals += 1
             note(alpha, f_a, g_a)
             if f_a > f0 + cfg.c1 * alpha * dphi0 or f_a >= f_lo:
+                if approx_wolfe(f_a, d_a):
+                    return alpha, f_a, g_a
                 hi, f_hi, d_hi = alpha, f_a, d_a
             else:
                 if abs(d_a) <= -cfg.c2 * dphi0:
@@ -160,6 +178,8 @@ def _strong_wolfe(f_and_g, x, f0, g0, d, cfg: LbfgsConfig, alpha0: float = 1.0):
         evals += 1
         note(alpha, f_a, g_a)
         if f_a > f0 + cfg.c1 * alpha * dphi0 or (i > 0 and f_a >= f_prev):
+            if approx_wolfe(f_a, d_a):
+                return True, alpha, f_a, g_a, evals
             a, fa, ga = zoom(alpha_prev, f_prev, d_prev, alpha, f_a, d_a)
             if a is not None:
                 return True, a, fa, ga, evals
@@ -176,6 +196,51 @@ def _strong_wolfe(f_and_g, x, f0, g0, d, cfg: LbfgsConfig, alpha0: float = 1.0):
     return False, best[0], best[1], best[2], evals
 
 
+class CurvaturePairs:
+    """The last `memory` curvature pairs (s, y) of L-BFGS, held in stacked
+    (memory x n) ring buffers, and the two-loop recursion over them."""
+
+    def __init__(self, memory: int, n: int):
+        self.s = np.empty((memory, n))
+        self.y = np.empty((memory, n))
+        self.rho = np.empty(memory)
+        self.count = 0                  # pairs held
+        self.head = 0                   # slot the next pair goes to
+        self._alpha = np.empty(memory)
+        self._tmp = np.empty(n)
+
+    def push(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
+        """Store a pair with s'y = sy > 0, replacing the oldest when full."""
+        m = self.rho.size
+        self.s[self.head] = s
+        self.y[self.head] = y
+        self.rho[self.head] = 1.0 / sy
+        self.head = (self.head + 1) % m
+        self.count = min(self.count + 1, m)
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g by the two-loop recursion.  The seed H0 is the identity
+        before the first pair and gamma I afterwards, gamma = s'y / y'y of
+        the newest pair."""
+        m = self.rho.size
+        newest_first = [(self.head - 1 - j) % m for j in range(self.count)]
+        q = g.copy()
+        tmp = self._tmp
+        for i in newest_first:
+            a = self.rho[i] * _dot(self.s[i], q)
+            self._alpha[i] = a
+            np.multiply(self.y[i], a, out=tmp)
+            q -= tmp
+        if newest_first:
+            i = newest_first[0]
+            q *= _dot(self.s[i], self.y[i]) / _dot(self.y[i], self.y[i])
+        for i in reversed(newest_first):
+            b = self.rho[i] * _dot(self.y[i], q)
+            np.multiply(self.s[i], self._alpha[i] - b, out=tmp)
+            q += tmp
+        return np.negative(q, out=q)
+
+
 def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
     """L-BFGS with two-loop recursion and strong Wolfe line search.
 
@@ -185,9 +250,7 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = f_and_grad(x)
     n_evals = 1
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
-    rho_list: list[float] = []
+    pairs = CurvaturePairs(cfg.memory, x.size)
     history = []
     best_x, best_f = x.copy(), f
     status = "max_iters"
@@ -196,20 +259,7 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
         if gnorm <= cfg.grad_tol:
             status = "converged"
             break
-        # two-loop recursion
-        q = g.copy()
-        alphas = []
-        for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-            a = rho * (s @ q)
-            alphas.append(a)
-            q -= a * y
-        if y_list:
-            gamma = float((s_list[-1] @ y_list[-1]) / (y_list[-1] @ y_list[-1]))
-            q *= gamma
-        for s, y, rho, a in zip(s_list, y_list, rho_list, reversed(alphas)):
-            b = rho * (y @ q)
-            q += (a - b) * s
-        d = -q
+        d = pairs.direction(g)
         ok, alpha, f_new, g_new, evals = _strong_wolfe(f_and_grad, x, f, g, d, cfg)
         n_evals += evals
         if not ok:
@@ -221,15 +271,9 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
         x_new = x + alpha * d
         s = x_new - x
         y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-10 * float(np.linalg.norm(s) * np.linalg.norm(y)):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > cfg.memory:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+        sy = _dot(s, y)
+        if sy > 1e-10 * np.sqrt(_dot(s, s) * _dot(y, y)):
+            pairs.push(s, y, sy)
         x, f, g = x_new, f_new, g_new
         if f < best_f:
             best_f, best_x = f, x.copy()

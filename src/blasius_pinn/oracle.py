@@ -170,11 +170,12 @@ def order_slope(s: float, hs=(4e-3, 2e-3, 1e-3), eta_max: float = 8.0) -> float:
     return float(slope)
 
 
-def backward_blowup(s: float, h: float) -> float:
+def backward_blowup(s: float, h: float) -> float | None:
     """Integrate from the wall toward negative eta until |f| exceeds 1e8.
 
     Returns the last eta reached before blow-up, an estimate (from above)
-    of the singularity of the analytic continuation near eta = -5.69.
+    of the singularity of the analytic continuation near eta = -5.69, or
+    None if |f| stays below the limit down to ETA_FLOOR.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
@@ -186,4 +187,4 @@ def backward_blowup(s: float, h: float) -> float:
             return eta
         f, fp, fpp = fn, fpn, fppn
         eta -= h
-    return eta
+    return None

@@ -4,6 +4,7 @@ import pytest
 from conftest import exact_growth_onset, exact_profile
 
 from blasius_pinn.analysis import (
+    TABULATE_BLOCK,
     compare,
     compare_tables,
     eta99,
@@ -14,7 +15,7 @@ from blasius_pinn.analysis import (
     tabulate,
 )
 from blasius_pinn.loss import CollocationGrid, loss_total
-from blasius_pinn.network import NetworkConfig, ParamVector
+from blasius_pinn.network import NetworkConfig, ParamVector, forward_jet_batch, init_params
 from blasius_pinn.optim import AdamConfig, LbfgsConfig
 from blasius_pinn.oracle import backward_blowup
 
@@ -47,6 +48,18 @@ def test_tabulate_zero_network():
     t = tabulate(zero_params(), np.linspace(0, 8, 9))
     assert np.all(t.f == 0) and np.all(t.fp == 0) and np.all(t.residual == 0)
     assert len(t) == 9
+
+
+def test_tabulate_blocks_match_one_batch():
+    # a row count that ends two blocks and starts a partial third
+    p = init_params(NetworkConfig(depth=2, width=100, seed=3))
+    etas = np.linspace(-1.0, 9.0, 2 * TABULATE_BLOCK + 17)
+    t = tabulate(p, etas)
+    y = forward_jet_batch(p, etas)
+    assert len(t) == etas.size and np.array_equal(t.eta, etas)
+    for got, want in ((t.f, y[0]), (t.fp, y[1]), (t.fpp, y[2]),
+                      (t.residual, y[3] + 0.5 * y[0] * y[2])):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_compare_tables_rejects_mismatched_grids(shoot_result):

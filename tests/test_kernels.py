@@ -3,15 +3,6 @@ import pytest
 
 from blasius_pinn import kernels
 from blasius_pinn.jets import Jet3, tanh_jet
-from blasius_pinn.kernels import _fallback
-
-
-def _has_cython():
-    try:
-        from blasius_pinn.kernels import _corejet  # noqa: F401
-        return True
-    except ImportError:
-        return False
 
 
 def random_jets(n, seed=0):
@@ -21,7 +12,7 @@ def random_jets(n, seed=0):
 
 def test_forward_matches_scalar_jets():
     z = random_jets(64)
-    out, t = _fallback.tanh_jet_forward(z)
+    out, t = kernels.tanh_jet_forward(z)
     for i in range(z.shape[1]):
         j = tanh_jet(Jet3(*z[:, i]))
         np.testing.assert_allclose(out[:, i], [j.v, j.d1, j.d2, j.d3], rtol=1e-13, atol=1e-14)
@@ -32,8 +23,8 @@ def test_backward_matches_finite_differences():
     # adjoint check: d/dz of sum(abar * forward(z)) against central differences
     z = random_jets(8, seed=1)
     abar = random_jets(8, seed=2)
-    out, t = _fallback.tanh_jet_forward(z)
-    zbar = _fallback.tanh_jet_backward(t, z, abar)
+    out, t = kernels.tanh_jet_forward(z)
+    zbar = kernels.tanh_jet_backward(t, z, abar)
     h = 1e-6
     for ch in range(4):
         for i in range(z.shape[1]):
@@ -41,36 +32,7 @@ def test_backward_matches_finite_differences():
             zp[ch, i] += h
             zm = z.copy()
             zm[ch, i] -= h
-            fp = np.sum(abar * _fallback.tanh_jet_forward(zp)[0])
-            fm = np.sum(abar * _fallback.tanh_jet_forward(zm)[0])
+            fp = np.sum(abar * kernels.tanh_jet_forward(zp)[0])
+            fm = np.sum(abar * kernels.tanh_jet_forward(zm)[0])
             fd = (fp - fm) / (2 * h)
             assert zbar[ch, i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-
-@pytest.mark.skipif(not _has_cython(), reason="compiled core not built")
-def test_cython_matches_fallback():
-    from blasius_pinn.kernels import _corejet
-
-    z = random_jets(257, seed=3)
-    abar = random_jets(257, seed=4)
-    out_py, t_py = _fallback.tanh_jet_forward(z)
-    out_cy, t_cy = _corejet.tanh_jet_forward(z)
-    np.testing.assert_allclose(out_cy, out_py, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(t_cy, t_py, rtol=1e-15, atol=1e-18)
-    zb_py = _fallback.tanh_jet_backward(t_py, z, abar)
-    zb_cy = _corejet.tanh_jet_backward(t_cy, z, abar)
-    np.testing.assert_allclose(zb_cy, zb_py, rtol=1e-12, atol=1e-14)
-
-
-def test_backend_switching():
-    original = kernels.backend_name()
-    try:
-        kernels.use_backend("numpy")
-        assert kernels.backend_name() == "numpy"
-        if _has_cython():
-            kernels.use_backend("cython")
-            assert kernels.backend_name() == "cython"
-        with pytest.raises(ValueError):
-            kernels.use_backend("fortran")
-    finally:
-        kernels.use_backend(original)

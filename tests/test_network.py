@@ -11,7 +11,9 @@ from blasius_pinn.network import (
     load_checkpoint,
     save_checkpoint,
 )
-from fd_oracle import central_d1, central_d2, central_d3
+from blasius_pinn.grad import loss_and_grad
+from blasius_pinn.loss import CollocationGrid, loss_total
+from fd_oracle import central_d1, central_d2, central_d3, fd_gradient_coords, grad_close
 
 
 def small_params(seed=0, depth=2, width=8):
@@ -88,6 +90,30 @@ def test_batch_matches_scalar_path():
     for k, eta in enumerate(etas):
         j = forward_jet(p, float(eta))
         np.testing.assert_allclose(y[:, k], [j.v, j.d1, j.d2, j.d3], rtol=1e-11, atol=1e-13)
+
+
+@pytest.mark.parametrize("depth,width", [(2, 100), (3, 12)])
+def test_layer0_outer_product_matches_scalar_and_fd(depth, width):
+    # the batched pass forms layer 0 from the input jet (eta, 1, 0, 0) as an
+    # outer product and takes its weight adjoint from two reductions; the
+    # scalar jet path and finite differences treat it as any other layer
+    cfg = NetworkConfig(depth=depth, width=width, seed=4)
+    p = init_params(cfg)
+    p = ParamVector(p.values + 0.05 * np.random.default_rng(1).normal(size=len(p)), p.shapes)
+    etas = np.array([-1.5, 0.0, 0.8, 3.3, 7.9])
+    y = forward_jet_batch(p, etas)
+    for k, eta in enumerate(etas):
+        j = forward_jet(p, float(eta))
+        np.testing.assert_allclose(y[:, k], [j.v, j.d1, j.d2, j.d3], rtol=1e-11, atol=1e-13)
+    grid = CollocationGrid(0.0, 8.0, 20)
+    rng = np.random.default_rng(2)
+    # every layer-0 weight and bias, and a sample of the other parameters
+    coords = np.concatenate([np.arange(2 * width),
+                             rng.choice(np.arange(2 * width, len(p)), size=20, replace=False)])
+    grad = loss_and_grad(p, grid).grad[coords]
+    fd = fd_gradient_coords(lambda v: loss_total(ParamVector(v, p.shapes), grid).total,
+                            p.values, coords)
+    assert grad_close(grad, fd, rel=1e-5, abs_floor=1e-8)
 
 
 def test_forward_value_random_probes_match_batch():

@@ -6,6 +6,7 @@ from blasius_pinn.network import NetworkConfig
 from blasius_pinn.optim import (
     AdamConfig,
     AdamState,
+    CurvaturePairs,
     LbfgsConfig,
     adam_step,
     lbfgs_minimize,
@@ -18,6 +19,28 @@ def quadratic(A, b):
     def fg(x):
         return 0.5 * float(x @ A @ x) - float(b @ x), A @ x - b
     return fg
+
+
+def random_spd_quadratic(seed, n=12):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, n))
+    return M @ M.T + n * np.eye(n), rng.normal(size=n)
+
+
+def two_loop_reference(g, s_list, y_list):
+    """-H g by the textbook two-loop recursion over plain lists of pairs,
+    oldest first; H0 = gamma I from the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, y in zip(reversed(s_list), reversed(y_list)):
+        a = (s @ q) / (s @ y)
+        alphas.append(a)
+        q -= a * y
+    if s_list:
+        q *= (s_list[-1] @ y_list[-1]) / (y_list[-1] @ y_list[-1])
+    for s, y, a in zip(s_list, y_list, reversed(alphas)):
+        q += (a - (y @ q) / (s @ y)) * s
+    return -q
 
 
 def rosenbrock(x):
@@ -99,6 +122,35 @@ def test_lbfgs_exact_on_quadratic():
     x_star = np.linalg.solve(A, b)
     assert res.status == "converged"
     np.testing.assert_allclose(res.x, x_star, rtol=1e-7, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lbfgs_converges_on_random_quadratics(seed):
+    # near the minimum the line search must not hinge on the last bit of f
+    A, b = random_spd_quadratic(seed)
+    res = lbfgs_minimize(quadratic(A, b), np.zeros(b.size), LbfgsConfig(grad_tol=1e-10))
+    assert res.status == "converged"
+    np.testing.assert_allclose(res.x, np.linalg.solve(A, b), rtol=1e-7, atol=1e-9)
+
+
+def test_curvature_pairs_wrap_around_matches_list_reference():
+    memory, n = 3, 40
+    rng = np.random.default_rng(5)
+    A = np.diag(rng.uniform(0.5, 20.0, size=n))
+    pairs = CurvaturePairs(memory, n)
+    s_list, y_list = [], []
+    g = rng.normal(size=n)
+    np.testing.assert_allclose(pairs.direction(g), -g, rtol=0, atol=0)
+    for _ in range(9):
+        s = rng.normal(size=n)
+        y = A @ s
+        pairs.push(s, y, float(s @ y))
+        s_list = (s_list + [s])[-memory:]
+        y_list = (y_list + [y])[-memory:]
+        g = rng.normal(size=n)
+        want = two_loop_reference(g, s_list, y_list)
+        np.testing.assert_allclose(pairs.direction(g), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert pairs.count == memory
 
 
 def test_lbfgs_rosenbrock():

@@ -84,6 +84,12 @@ def test_negative_direction_rk4_raises_divergence():
         rk4_shoot(S_STAR, h=1e-3, eta_max=-8.0)
 
 
+def test_backward_blowup_none_when_f_stays_bounded():
+    # f(eta) = a F(a eta) with a^3 = s / s*, so the pole sits at -5.69 / a:
+    # below ETA_FLOOR = -10 for s = 0.05
+    assert backward_blowup(0.05, h=1e-3) is None
+
+
 def test_backward_blowup_validation():
     with pytest.raises(ValueError):
         backward_blowup(S_STAR, h=0.0)
