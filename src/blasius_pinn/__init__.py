@@ -4,21 +4,11 @@ The package trains a small fully connected network to satisfy
 f''' + 1/2 f f'' = 0 with f(0)=0, f'(0)=0, f'(eta_m)=1, carrying exact
 first/second/third derivatives through the network with truncated Taylor
 jets.  A classical RK4 shooting solver serves as ground truth, and a
-negative-axis probe locates the singularity of the analytic continuation
-near eta = -5.69.
+negative-axis probe locates the singularity of the analytic continuation.
 """
 
-import os as _os
-
-# BLASIUS_THREADS caps BLAS parallelism; must be set before numpy loads.
-_threads = _os.environ.get("BLASIUS_THREADS", "")
-if _threads.isdigit() and int(_threads) > 0:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
-from .jets import Jet3, seed, add, scale, mul, tanh_jet
-from .network import NetworkConfig, ParamVector, init_params, forward_jet, forward_value
-from .loss import CollocationGrid, LossBreakdown, residual, loss_ode, loss_init, loss_boundary, loss_total
+from .network import NetworkConfig, ParamVector, init_params, forward_jet_batch
+from .loss import CollocationGrid, LossBreakdown, residual, loss_terms, loss_total
 from .grad import GradResult, loss_and_grad, DivergenceError
 from .optim import AdamConfig, AdamState, adam_step, LbfgsConfig, lbfgs_minimize, TrainingReport, train
 from .oracle import SolutionTable, ShootingResult, rk4_shoot, shoot, backward_blowup

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import CollocationGrid
+from .loss import CollocationGrid, residual
 from .network import NetworkConfig, ParamVector, forward_jet_batch
 from .optim import AdamConfig, LbfgsConfig, TrainingReport, train
 from .oracle import SolutionTable
@@ -49,8 +49,7 @@ def tabulate(p: ParamVector, etas: np.ndarray) -> SolutionTable:
     y = np.empty((4, etas.size))
     for lo in range(0, etas.size, TABULATE_BLOCK):
         y[:, lo : lo + TABULATE_BLOCK] = forward_jet_batch(p, etas[lo : lo + TABULATE_BLOCK])
-    res = y[3] + 0.5 * y[0] * y[2]
-    return SolutionTable(etas, y[0], y[1], y[2], res)
+    return SolutionTable(etas, y[0], y[1], y[2], residual(y))
 
 
 def compare_tables(pred: SolutionTable, oracle: SolutionTable,
@@ -134,30 +133,27 @@ def probe_negative(
     cfg_net: NetworkConfig,
     cfg_adam: AdamConfig,
     cfg_lbfgs: LbfgsConfig,
-    grid: CollocationGrid | None = None,
+    grid: CollocationGrid,
 ) -> tuple[ParamVector, SingularityReport]:
     """Retrain on the extended grid with the wall curvature pinned.
 
     The pin value c = f''(0) comes from the converged standard run; the wall
     conditions stay at eta = 0 and the far-field condition at grid.eta_m.
-    The default grid starts at the pole itself (-5.69), where the residual
-    cannot be met; on a grid that stops short of it, such as eta0 = -4.5,
-    the fit can meet the residual and pole_eta still locates the pole.
+    On a grid that reaches the pole the residual cannot be met; on one that
+    stops short of it, such as eta0 = -4.5, the fit can meet the residual
+    and pole_eta still locates the pole.
     """
-    if grid is None:
-        grid = CollocationGrid(-5.69, 7.0, 100)
     wall = forward_jet_batch(p_prev, np.array([0.0]))
     c = float(wall[2, 0])
     p_ext, report = train(cfg_net, cfg_adam, cfg_lbfgs, grid, pin=c)
 
     edge = np.arange(grid.eta0, max(grid.eta0, -5.5) + 1e-12, 0.005)
     y_edge = forward_jet_batch(p_ext, edge)
-    res_edge = y_edge[3] + 0.5 * y_edge[0] * y_edge[2]
     onset, med = growth_onset(p_ext, grid.eta0, grid.eta_m)
     sing = SingularityReport(
         pin_value=c,
         max_abs_f_edge=float(np.abs(y_edge[0]).max()),
-        max_abs_residual_edge=float(np.abs(res_edge).max()),
+        max_abs_residual_edge=float(np.abs(residual(y_edge)).max()),
         onset_eta=onset,
         median_fppp=med,
         pole_eta=pole_from_profile(edge, y_edge[0]),

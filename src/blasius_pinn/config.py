@@ -9,12 +9,16 @@ Example:
     grid.eta_m = 8
     paths.checkpoint_out = checkpoint.txt
 
-Unknown keys are rejected so typos fail loudly before any compute starts.
+Each key and its type come from a field of the dataclass its section fills.
+Unknown keys, values of the wrong type and non-finite numbers are rejected
+so mistakes fail loudly before any compute starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_type_hints
 
 from .loss import BOUNDARY_DERIVATIVE, BOUNDARY_LITERAL, CollocationGrid
 from .network import NetworkConfig
@@ -34,17 +38,10 @@ class GridSpec:
     n: int = 100
 
     def build(self) -> CollocationGrid:
-        return CollocationGrid(self.eta0, self.eta_m, self.n)
-
-
-@dataclass
-class ProbeSpec:
-    eta0: float = -5.69
-    eta_m: float = 7.0
-    n: int = 100
-
-    def build(self) -> CollocationGrid:
-        return CollocationGrid(self.eta0, self.eta_m, self.n)
+        try:
+            return CollocationGrid(self.eta0, self.eta_m, self.n)
+        except ValueError as err:
+            raise ConfigError(f"collocation grid: {err}") from err
 
 
 @dataclass
@@ -71,7 +68,7 @@ class RunConfig:
     adam: dict = field(default_factory=dict)
     lbfgs: dict = field(default_factory=dict)
     grid: GridSpec = field(default_factory=GridSpec)
-    probe: ProbeSpec = field(default_factory=ProbeSpec)
+    probe: GridSpec = field(default_factory=lambda: GridSpec(eta0=-5.69, eta_m=7.0))
     oracle: OracleSpec = field(default_factory=OracleSpec)
     paths: PathsSpec = field(default_factory=PathsSpec)
     boundary_variant: str = BOUNDARY_DERIVATIVE
@@ -98,23 +95,25 @@ class RunConfig:
             raise ConfigError(f"lbfgs config: {err}") from err
 
 
-_INT_KEYS = {
-    "network.depth", "network.width", "network.seed",
-    "adam.max_steps", "adam.decay_every",
-    "lbfgs.memory", "lbfgs.max_iters", "lbfgs.max_line_evals",
-    "grid.n", "probe.n",
-}
-_FLOAT_KEYS = {
-    "adam.base_lr", "adam.decay", "adam.beta1", "adam.beta2", "adam.eps", "adam.switch_tol",
-    "lbfgs.grad_tol", "lbfgs.c1", "lbfgs.c2",
-    "grid.eta0", "grid.eta_m", "probe.eta0", "probe.eta_m",
-    "oracle.h", "oracle.eta_max", "oracle.blowup_h",
-}
-_STR_KEYS = {
-    "mode", "boundary_variant",
-    "paths.checkpoint_in", "paths.checkpoint_out", "paths.csv_out",
-    "paths.plot_out", "paths.report_out", "paths.curve_out",
-}
+# sections held as raw keyword overrides until the config object is built
+_OVERRIDES = {"network": NetworkConfig, "adam": AdamConfig, "lbfgs": LbfgsConfig}
+
+
+def _key_types() -> dict[str, type]:
+    """`key` or `section.key` -> value type, from the fields of RunConfig and
+    of the dataclass each section fills."""
+    table = {}
+    for name, hint in get_type_hints(RunConfig).items():
+        section = _OVERRIDES.get(name, hint)
+        if is_dataclass(section):
+            for key, tp in get_type_hints(section).items():
+                table[f"{name}.{key}"] = tp
+        else:
+            table[name] = hint
+    return table
+
+
+_KEY_TYPES = _key_types()
 
 
 def parse_config(text: str) -> RunConfig:
@@ -127,20 +126,19 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _INT_KEYS:
-            try:
-                val = int(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}")
-        elif key in _FLOAT_KEYS:
-            try:
-                val = float(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} expects a number, got {value!r}")
-        elif key in _STR_KEYS:
+        tp = _KEY_TYPES.get(key)
+        if tp is None:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if tp is str:
             val = value
         else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            try:
+                val = tp(value)
+            except ValueError:
+                kind = "an integer" if tp is int else "a number"
+                raise ConfigError(f"line {lineno}: {key} expects {kind}, got {value!r}")
+            if not math.isfinite(val):
+                raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
 
         if "." in key:
             section, attr = key.split(".", 1)
@@ -158,6 +156,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"boundary_variant must be '{BOUNDARY_DERIVATIVE}' or '{BOUNDARY_LITERAL}'"
         )
+    for f in fields(OracleSpec):
+        if not getattr(cfg.oracle, f.name) > 0.0:
+            raise ConfigError(f"oracle.{f.name} must be positive")
     return cfg
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import BOUNDARY_DERIVATIVE, BOUNDARY_LITERAL, CollocationGrid, LossBreakdown
+from .loss import BOUNDARY_DERIVATIVE, CollocationGrid, LossBreakdown, loss_terms
 from .network import ParamVector, backward_jet_batch, forward_jet_batch
 
 
@@ -38,43 +38,18 @@ def loss_and_grad(
     variant: str = BOUNDARY_DERIVATIVE,
 ) -> GradResult:
     """Loss breakdown and d(total)/d(theta) in one forward + one reverse pass."""
-    pts = np.concatenate([grid.points, [0.0, grid.eta_m]])
+    pts = grid.anchored_points
     y, cache = forward_jet_batch(p, pts, want_cache=True)
-    n = grid.n
-
-    r = y[3, :n] + 0.5 * y[0, :n] * y[2, :n]
+    r, breakdown, ybar = loss_terms(y, pin, variant)
     if not np.all(np.isfinite(r)):
         bad = int(np.argmax(~np.isfinite(r)))
         raise DivergenceError(
             f"non-finite residual at eta={pts[bad]:.6g}", eta=float(pts[bad])
         )
-    l_ode = float(np.sum(r * r))
-    f0, fp0, fpp0 = y[0, n], y[1, n], y[2, n]
-    l_init = float(f0 ** 2 + fp0 ** 2)
-    if variant == BOUNDARY_LITERAL:
-        l_bnd = float((y[0, n + 1] - 1.0) ** 2)
-    else:
-        l_bnd = float((y[1, n + 1] - 1.0) ** 2)
-    l_pin = 0.0 if pin is None else float((fpp0 - pin) ** 2)
-    breakdown = LossBreakdown(l_ode, l_init, l_bnd, l_pin)
     if not np.isfinite(breakdown.total):
-        raise DivergenceError("non-finite loss", eta=float(pts[n]))
-
-    # adjoint of the output jet: d(total)/dy per point and channel
-    ybar = np.zeros_like(y)
-    ybar[0, :n] = r * y[2, :n]          # 2 r * d r/d f, with d r/d f = f''/2
-    ybar[2, :n] = r * y[0, :n]
-    ybar[3, :n] = 2.0 * r
-    ybar[0, n] += 2.0 * f0
-    ybar[1, n] += 2.0 * fp0
-    if pin is not None:
-        ybar[2, n] += 2.0 * (fpp0 - pin)
-    if variant == BOUNDARY_LITERAL:
-        ybar[0, n + 1] += 2.0 * (y[0, n + 1] - 1.0)
-    else:
-        ybar[1, n + 1] += 2.0 * (y[1, n + 1] - 1.0)
+        raise DivergenceError("non-finite loss", eta=float(pts[grid.n]))
 
     grad = backward_jet_batch(p, cache, ybar)
     if not np.all(np.isfinite(grad)):
-        raise DivergenceError("non-finite gradient", eta=float(pts[n]))
+        raise DivergenceError("non-finite gradient", eta=float(pts[grid.n]))
     return GradResult(breakdown, grad)

@@ -12,6 +12,7 @@ negative eta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +36,17 @@ class CollocationGrid:
         if self.n < 2:
             raise ValueError("grid requires n >= 2")
 
+    @cached_property
+    def anchored_points(self) -> np.ndarray:
+        """Read-only: the n grid points, then the anchors 0 (wall) and eta_m
+        (far field), where the loss evaluates the network."""
+        pts = np.concatenate([np.linspace(self.eta0, self.eta_m, self.n), [0.0, self.eta_m]])
+        pts.flags.writeable = False
+        return pts
+
     @property
     def points(self) -> np.ndarray:
-        return np.linspace(self.eta0, self.eta_m, self.n)
+        return self.anchored_points[: self.n]
 
     @property
     def spacing(self) -> float:
@@ -56,34 +65,42 @@ class LossBreakdown:
         return self.ode + self.init + self.boundary + self.pin
 
 
-def _residual_from_channels(y: np.ndarray) -> np.ndarray:
-    """f''' + 1/2 f f'' from the four jet channels (shape (4, n))."""
+def residual(y: np.ndarray) -> np.ndarray:
+    """Blasius residual f''' + 1/2 f f'' of jet rows y = (f, f', f'', f''')."""
     return y[3] + 0.5 * y[0] * y[2]
 
 
-def residual(p: ParamVector, eta: float) -> float:
-    """Blasius ODE residual of the network at one point."""
-    y = forward_jet_batch(p, np.array([eta]))
-    return float(_residual_from_channels(y)[0])
+def loss_terms(
+    y: np.ndarray,
+    pin: float | None = None,
+    variant: str = BOUNDARY_DERIVATIVE,
+) -> tuple[np.ndarray, LossBreakdown, np.ndarray]:
+    """Loss terms of the output jet y (shape (4, n + 2)) at the n grid points
+    followed by the anchors 0 and eta_m, as in `anchored_points`.
 
-
-def loss_ode(p: ParamVector, grid: CollocationGrid) -> float:
-    """Sum of squared residuals, accumulated in ascending eta order."""
-    y = forward_jet_batch(p, grid.points)
-    r = _residual_from_channels(y)
-    return float(np.sum(r * r))
-
-
-def loss_init(p: ParamVector, eta0: float = 0.0) -> float:
-    y = forward_jet_batch(p, np.array([eta0]))
-    return float(y[0, 0] ** 2 + y[1, 0] ** 2)
-
-
-def loss_boundary(p: ParamVector, eta_m: float, variant: str = BOUNDARY_DERIVATIVE) -> float:
-    y = forward_jet_batch(p, np.array([eta_m]))
-    if variant == BOUNDARY_LITERAL:
-        return float((y[0, 0] - 1.0) ** 2)
-    return float((y[1, 0] - 1.0) ** 2)
+    Returns (r, breakdown, ybar): the residuals at the grid points, the loss
+    breakdown, and ybar = d(total)/dy for the reverse pass.
+    """
+    n = y.shape[1] - 2
+    r = residual(y[:, :n])
+    f0, fp0, fpp0 = y[0, n], y[1, n], y[2, n]
+    far = 0 if variant == BOUNDARY_LITERAL else 1    # the channel held at 1
+    ybar = np.zeros_like(y)
+    ybar[0, :n] = r * y[2, :n]          # 2 r * d r/d f, with d r/d f = f''/2
+    ybar[2, :n] = r * y[0, :n]
+    ybar[3, :n] = 2.0 * r
+    ybar[0, n] += 2.0 * f0
+    ybar[1, n] += 2.0 * fp0
+    ybar[far, n + 1] += 2.0 * (y[far, n + 1] - 1.0)
+    if pin is not None:
+        ybar[2, n] += 2.0 * (fpp0 - pin)
+    breakdown = LossBreakdown(
+        ode=float(np.sum(r * r)),
+        init=float(f0 ** 2 + fp0 ** 2),
+        boundary=float((y[far, n + 1] - 1.0) ** 2),
+        pin=0.0 if pin is None else float((fpp0 - pin) ** 2),
+    )
+    return r, breakdown, ybar
 
 
 def loss_total(
@@ -93,15 +110,4 @@ def loss_total(
     variant: str = BOUNDARY_DERIVATIVE,
 ) -> LossBreakdown:
     """Full loss breakdown; one batched forward pass over grid + anchors."""
-    pts = np.concatenate([grid.points, [0.0, grid.eta_m]])
-    y = forward_jet_batch(p, pts)
-    n = grid.n
-    r = _residual_from_channels(y[:, :n])
-    l_ode = float(np.sum(r * r))
-    l_init = float(y[0, n] ** 2 + y[1, n] ** 2)
-    if variant == BOUNDARY_LITERAL:
-        l_bnd = float((y[0, n + 1] - 1.0) ** 2)
-    else:
-        l_bnd = float((y[1, n + 1] - 1.0) ** 2)
-    l_pin = 0.0 if pin is None else float((y[2, n] - pin) ** 2)
-    return LossBreakdown(l_ode, l_init, l_bnd, l_pin)
+    return loss_terms(forward_jet_batch(p, grid.anchored_points), pin, variant)[1]

@@ -1,8 +1,9 @@
 """Scalar-in, scalar-out fully connected network evaluated in jet arithmetic.
 
-One forward pass at eta yields f and its first three eta-derivatives.
-Hidden layers use tanh; the output layer is purely affine so the network can
-represent the linear far-field growth of the Blasius function.
+One forward pass over a batch of eta values yields f and its first three
+eta-derivatives at each of them.  Hidden layers use tanh; the output layer
+is purely affine so the network can represent the linear far-field growth
+of the Blasius function.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .jets import Jet3, add, constant, scale, seed, tanh_jet
 
 CHECKPOINT_MAGIC = "blasius-pinn-checkpoint v1"
 
@@ -83,45 +83,6 @@ def init_params(cfg: NetworkConfig) -> ParamVector:
         chunks.append(rng.uniform(-lim, lim, size=fi * fo))
         chunks.append(np.zeros(fo))
     return ParamVector(np.concatenate(chunks), cfg.layer_shapes())
-
-
-def forward_jet(p: ParamVector, eta: float) -> Jet3:
-    """Network output jet at a single eta, computed in scalar jet arithmetic."""
-    acts = [seed(float(eta))]
-    n_layers = len(p.shapes)
-    for li, (w, b) in enumerate(p.layers()):
-        nxt = []
-        for j in range(w.shape[0]):
-            z = constant(float(b[j]))
-            for i, a in enumerate(acts):
-                z = add(z, scale(a, float(w[j, i])))
-            if li < n_layers - 1:
-                z = tanh_jet(z)
-            nxt.append(z)
-        acts = nxt
-    return acts[0]
-
-
-def forward_value(p: ParamVector, eta: float) -> float:
-    """Plain scalar forward pass; equals the value channel of forward_jet.
-
-    Accumulates each neuron as bias + sum of weighted inputs in ascending
-    input order, matching the jet path term for term, so the two agree to
-    the last bit.
-    """
-    import math
-
-    a = [float(eta)]
-    n_layers = len(p.shapes)
-    for li, (w, b) in enumerate(p.layers()):
-        nxt = []
-        for j in range(w.shape[0]):
-            z = float(b[j])
-            for i, ai in enumerate(a):
-                z += float(w[j, i]) * ai
-            nxt.append(math.tanh(z) if li < n_layers - 1 else z)
-        a = nxt
-    return a[0]
 
 
 def forward_jet_batch(p: ParamVector, etas: np.ndarray, want_cache: bool = False):

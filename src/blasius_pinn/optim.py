@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grad import DivergenceError, loss_and_grad
-from .loss import BOUNDARY_DERIVATIVE, CollocationGrid, LossBreakdown
+from .loss import BOUNDARY_DERIVATIVE, CollocationGrid, LossBreakdown, loss_total
 from .network import NetworkConfig, ParamVector, init_params
 
 
@@ -338,8 +338,6 @@ def train(
         best_f, best_x = lbfgs.fval, lbfgs.x
 
     p_best = ParamVector(best_x, shapes)
-    from .loss import loss_total  # local import to avoid a cycle at module load
-
     final = loss_total(p_best, grid, pin=pin, variant=variant)
     report = TrainingReport(
         seed=cfg_net.seed,

@@ -174,7 +174,7 @@ def backward_blowup(s: float, h: float) -> float | None:
     """Integrate from the wall toward negative eta until |f| exceeds 1e8.
 
     Returns the last eta reached before blow-up, an estimate (from above)
-    of the singularity of the analytic continuation near eta = -5.69, or
+    of the singularity of the analytic continuation on the negative axis, or
     None if |f| stays below the limit down to ETA_FLOOR.
     """
     if h <= 0.0:

@@ -1,8 +1,10 @@
-"""Truncated Taylor arithmetic of order 3 in the scalar coordinate eta.
+"""Scalar reference for the batched jet path: truncated Taylor arithmetic of
+order 3 in the coordinate eta, and the network evaluated in it one point and
+one neuron at a time.
 
 A Jet3 carries a value together with its first three derivatives with
-respect to eta.  Propagating jets through the network gives the exact
-f, f', f'', f''' needed by the Blasius residual in a single forward pass.
+respect to eta.  The tests check `kernels` and `network.forward_jet_batch`
+against `tanh_jet` and `forward_jet`, which spell every operation out.
 """
 
 from __future__ import annotations
@@ -76,3 +78,20 @@ def tanh_jet(a: Jet3) -> Jet3:
         g2 * a.d1 * a.d1 + g1 * a.d2,
         g3 * a.d1 ** 3 + 3.0 * g2 * a.d1 * a.d2 + g1 * a.d3,
     )
+
+
+def forward_jet(p, eta: float) -> Jet3:
+    """Output jet of the network with parameters p (a ParamVector) at eta."""
+    acts = [seed(float(eta))]
+    n_layers = len(p.shapes)
+    for li, (w, b) in enumerate(p.layers()):
+        nxt = []
+        for j in range(w.shape[0]):
+            z = constant(float(b[j]))
+            for i, a in enumerate(acts):
+                z = add(z, scale(a, float(w[j, i])))
+            if li < n_layers - 1:
+                z = tanh_jet(z)
+            nxt.append(z)
+        acts = nxt
+    return acts[0]

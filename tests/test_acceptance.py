@@ -13,10 +13,10 @@ import sympy as sp
 
 from conftest import ACCEPTANCE_LINES, exact_growth_onset
 
+from blasius_pinn import kernels
 from blasius_pinn.analysis import compare, eta99, probe_negative
 from blasius_pinn.cli import main as cli_main
 from blasius_pinn.grad import loss_and_grad
-from blasius_pinn.jets import Jet3, add, constant, mul, scale, seed as jet_seed, tanh_jet
 from blasius_pinn.loss import CollocationGrid, loss_total
 from blasius_pinn.network import NetworkConfig, ParamVector, forward_jet_batch, init_params
 from blasius_pinn.optim import AdamConfig, LbfgsConfig, train
@@ -117,31 +117,40 @@ def test_criterion_06_gradient_contract():
 
 
 def test_criterion_07_jet_correctness():
+    # the production path against symbolic derivatives: the tanh-jet kernel
+    # on the jets of two polynomials, and forward_jet_batch on a small
+    # network whose parameters are written out here
     x = sp.Symbol("x")
+    points = (-2.1, -0.7, 0.0, 0.4, 1.3, 2.8)
 
-    def sym_jet(expr, x0):
-        return Jet3(*[float(sp.diff(expr, x, k).subs(x, x0)) for k in range(4)])
+    def sym_jets(expr):
+        """(4, len(points)): the expression and its first three derivatives."""
+        return np.array([[float(sp.diff(expr, x, k).subs(x, x0)) for x0 in points]
+                         for k in range(4)])
 
-    def close(a: Jet3, b: Jet3) -> float:
-        worst = 0.0
-        for g, w in zip((a.v, a.d1, a.d2, a.d3), (b.v, b.d1, b.d2, b.d3)):
-            worst = max(worst, abs(g - w) / max(abs(w), 1.0))
-        return worst
+    def worst_rel(got, want):
+        return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)))
 
-    worst = 0.0
     pa = 0.5 * x ** 3 - 1.2 * x + 0.3
     pb = 2.0 * x ** 2 + x - 1.0
-    for x0 in (-2.1, -0.7, 0.0, 0.4, 1.3, 2.8):
-        e = jet_seed(x0)
-        ja = add(scale(mul(mul(e, e), e), 0.5), add(scale(e, -1.2), constant(0.3)))
-        jb = add(add(scale(mul(e, e), 2.0), e), constant(-1.0))
-        worst = max(worst, close(ja, sym_jet(pa, x0)))
-        worst = max(worst, close(mul(ja, jb), sym_jet(pa * pb, x0)))
-        worst = max(worst, close(tanh_jet(ja), sym_jet(sp.tanh(pa), x0)))
-        worst = max(worst, close(add(tanh_jet(jb), mul(e, tanh_jet(e))),
-                                 sym_jet(sp.tanh(pb) + x * sp.tanh(x), x0)))
-    ok = worst <= 1e-10
-    report("7", "jet correctness", ok, f"worst_rel={worst:.2e}")
+    worst_kernel = max(worst_rel(kernels.tanh_jet_forward(sym_jets(e))[0], sym_jets(sp.tanh(e)))
+                       for e in (pa, pb))
+
+    # depth 2, width 2; per layer the weights (fan_out x fan_in), then the biases
+    p = ParamVector(np.array([0.8, -1.3, 0.1, 0.4,
+                              0.5, -0.9, 1.1, 0.7, -0.2, 0.3,
+                              1.5, -0.6, 0.25]), [(1, 2), (2, 2), (2, 1)])
+    layers = list(p.layers())
+    acts = [x]
+    for li, (w, b) in enumerate(layers):
+        z = [sum(float(w[j, i]) * a for i, a in enumerate(acts)) + float(b[j])
+             for j in range(w.shape[0])]
+        acts = [sp.tanh(e) for e in z] if li < len(layers) - 1 else z
+    worst_network = worst_rel(forward_jet_batch(p, np.array(points)), sym_jets(acts[0]))
+
+    ok = max(worst_kernel, worst_network) <= 1e-10
+    report("7", "jet correctness", ok,
+           f"kernel_worst_rel={worst_kernel:.2e} network_worst_rel={worst_network:.2e}")
     assert ok
 
 

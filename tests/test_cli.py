@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import blasius_pinn
 from blasius_pinn.cli import _atomic, main
 from blasius_pinn.config import ConfigError, RunConfig, parse_config
 from blasius_pinn.network import load_checkpoint
@@ -243,6 +246,26 @@ class TestCliErrors:
         cfg = write_cfg(tmp_path, "paths.checkpoint_in = ck.txt\noracle.h = 1e-2\n")
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("mode,line", [
+        ("train", "grid.n = 1"),
+        ("train", "grid.eta0 = 9"),
+        ("solve-oracle", "oracle.h = 0"),
+        ("solve-oracle", "oracle.h = -1"),
+        ("train", "adam.base_lr = nan"),
+        ("train", "grid.eta_m = inf"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, mode, line):
+        # a separate process, so an uncaught exception shows as its exit code
+        cfg = write_cfg(tmp_path, line + "\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(blasius_pinn.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "blasius_pinn.cli", mode, "--config", cfg, "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error: config:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_mode_rejected_by_argparse(self, tmp_path, capsys):
         assert main(["swim", "--out", str(tmp_path)]) == 2

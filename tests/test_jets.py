@@ -5,8 +5,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blasius_pinn.jets import Jet3, add, constant, mul, scale, seed, tanh_jet
 from fd_oracle import central_d1, central_d2, central_d3
+from jet_reference import Jet3, add, constant, mul, scale, seed, tanh_jet
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 jets = st.builds(Jet3, finite, finite, finite, finite)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blasius_pinn import kernels
-from blasius_pinn.jets import Jet3, tanh_jet
+from jet_reference import Jet3, tanh_jet
 
 
 def random_jets(n, seed=0):

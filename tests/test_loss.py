@@ -1,17 +1,8 @@
 import numpy as np
 import pytest
 
-from blasius_pinn.loss import (
-    BOUNDARY_LITERAL,
-    CollocationGrid,
-    LossBreakdown,
-    loss_boundary,
-    loss_init,
-    loss_ode,
-    loss_total,
-    residual,
-)
-from blasius_pinn.network import NetworkConfig, ParamVector, init_params
+from blasius_pinn.loss import BOUNDARY_LITERAL, CollocationGrid, LossBreakdown, loss_total, residual
+from blasius_pinn.network import NetworkConfig, ParamVector, forward_jet_batch, init_params
 
 
 def zero_params(depth=2, width=5):
@@ -33,10 +24,19 @@ def near_identity_params(eps=1e-8):
     return ParamVector(vals, cfg.layer_shapes())
 
 
+def jets_at(p, *etas):
+    return forward_jet_batch(p, np.array(etas))
+
+
 def test_grid_validation_and_spacing():
     g = CollocationGrid(0.0, 8.0, 100)
     assert g.points[0] == 0.0 and g.points[-1] == 8.0
     assert np.allclose(np.diff(g.points), g.spacing)
+    # computed once per grid and shared by every evaluation, so read-only
+    assert g.anchored_points is g.anchored_points
+    assert np.array_equal(g.anchored_points, np.r_[np.linspace(0.0, 8.0, 100), 0.0, 8.0])
+    with pytest.raises(ValueError):
+        g.points[0] = 1.0
     assert g.spacing == pytest.approx(8.0 / 99)
     with pytest.raises(ValueError):
         CollocationGrid(8.0, 0.0, 100)
@@ -47,41 +47,45 @@ def test_grid_validation_and_spacing():
 def test_zero_network_losses():
     p = zero_params()
     g = CollocationGrid(0.0, 8.0, 100)
-    assert residual(p, 1.3) == 0.0
-    assert loss_ode(p, g) == 0.0
-    assert loss_init(p, 0.0) == 0.0
-    assert loss_boundary(p, 8.0) == 1.0  # (0 - 1)^2
+    assert residual(jets_at(p, 1.3))[0] == 0.0
     bd = loss_total(p, g)
     assert bd.ode == bd.init == bd.pin == 0.0
-    assert bd.boundary == 1.0
+    assert bd.boundary == 1.0  # (0 - 1)^2
     assert bd.total == 1.0
 
 
 def test_constant_network_init_loss():
     p = const_params(0.7)
-    assert loss_init(p, 0.0) == pytest.approx(0.49)  # derivative channel is zero
-    assert loss_boundary(p, 8.0) == 1.0
-    assert loss_boundary(p, 8.0, variant=BOUNDARY_LITERAL) == pytest.approx(0.09)
+    g = CollocationGrid(0.0, 8.0, 10)
+    bd = loss_total(p, g)
+    assert bd.ode == 0.0
+    assert bd.init == pytest.approx(0.49)  # derivative channel is zero
+    assert bd.boundary == 1.0
+    assert loss_total(p, g, variant=BOUNDARY_LITERAL).boundary == pytest.approx(0.09)
 
 
 def test_near_identity_network_boundary_loss():
     p = near_identity_params()
-    assert loss_boundary(p, 8.0) <= 1e-20  # f' == 1 up to O(eps^2)
+    assert loss_total(p, CollocationGrid(0.0, 8.0, 10)).boundary <= 1e-20  # f' == 1 up to O(eps^2)
 
 
 def test_two_point_grid_is_sum_of_squared_residuals():
     p = init_params(NetworkConfig(depth=2, width=6, seed=3))
     g = CollocationGrid(0.0, 8.0, 2)
-    assert loss_ode(p, g) == pytest.approx(residual(p, 0.0) ** 2 + residual(p, 8.0) ** 2, rel=1e-12)
+    r0, r8 = residual(jets_at(p, 0.0)), residual(jets_at(p, 8.0))
+    assert loss_total(p, g).ode == pytest.approx(r0[0] ** 2 + r8[0] ** 2, rel=1e-12)
 
 
 def test_loss_total_components_and_pin():
     p = init_params(NetworkConfig(depth=2, width=6, seed=4))
     g = CollocationGrid(-2.0, 3.0, 17)
     bd = loss_total(p, g, pin=0.25)
-    assert bd.ode == pytest.approx(loss_ode(p, g), rel=1e-12)
-    assert bd.init == pytest.approx(loss_init(p, 0.0), rel=1e-12)  # wall stays at 0
-    assert bd.boundary == pytest.approx(loss_boundary(p, 3.0), rel=1e-12)
+    # each term against its own forward pass
+    assert bd.ode == pytest.approx(np.sum(residual(jets_at(p, *g.points)) ** 2), rel=1e-12)
+    wall, far = jets_at(p, 0.0)[:, 0], jets_at(p, 3.0)[:, 0]
+    assert bd.init == pytest.approx(wall[0] ** 2 + wall[1] ** 2, rel=1e-12)  # wall stays at 0
+    assert bd.boundary == pytest.approx((far[1] - 1.0) ** 2, rel=1e-12)
+    assert bd.pin == pytest.approx((wall[2] - 0.25) ** 2, rel=1e-12)
     assert bd.pin > 0.0
     assert bd.total == bd.ode + bd.init + bd.boundary + bd.pin
     assert loss_total(p, g).pin == 0.0
@@ -97,15 +101,15 @@ def test_nonnegativity():
 def test_determinism_under_repeated_evaluation():
     p = init_params(NetworkConfig(depth=2, width=20, seed=8))
     g = CollocationGrid(0.0, 8.0, 50)
-    assert loss_ode(p, g) == loss_ode(p, g)
+    assert loss_total(p, g) == loss_total(p, g)
 
 
 def test_sum_semantics_doubling_points():
     # with sum (not mean) semantics, doubling n roughly doubles L_o for a
     # fixed smooth residual profile
     p = init_params(NetworkConfig(depth=2, width=10, seed=1))
-    l1 = loss_ode(p, CollocationGrid(0.0, 8.0, 100))
-    l2 = loss_ode(p, CollocationGrid(0.0, 8.0, 200))
+    l1 = loss_total(p, CollocationGrid(0.0, 8.0, 100)).ode
+    l2 = loss_total(p, CollocationGrid(0.0, 8.0, 200)).ode
     assert 1.5 <= l2 / l1 <= 2.5
 
 

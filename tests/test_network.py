@@ -4,9 +4,7 @@ import pytest
 from blasius_pinn.network import (
     NetworkConfig,
     ParamVector,
-    forward_jet,
     forward_jet_batch,
-    forward_value,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -14,10 +12,16 @@ from blasius_pinn.network import (
 from blasius_pinn.grad import loss_and_grad
 from blasius_pinn.loss import CollocationGrid, loss_total
 from fd_oracle import central_d1, central_d2, central_d3, fd_gradient_coords, grad_close
+from jet_reference import forward_jet
 
 
 def small_params(seed=0, depth=2, width=8):
     return init_params(NetworkConfig(depth=depth, width=width, seed=seed))
+
+
+def jet_at(p, eta):
+    # value and first three eta-derivatives of the batched path at one point
+    return forward_jet_batch(p, np.array([eta]))[:, 0]
 
 
 def test_config_validation():
@@ -63,24 +67,17 @@ def test_zero_network_outputs_zero():
     for eta in (-3.0, 0.0, 2.5, 8.0):
         j = forward_jet(p, eta)
         assert (j.v, j.d1, j.d2, j.d3) == (0.0, 0.0, 0.0, 0.0)
-        assert forward_value(p, eta) == 0.0
     y = forward_jet_batch(p, np.array([-1.0, 0.0, 4.0]))
     assert np.all(y == 0.0)
 
 
 def test_forward_pure_and_order_independent():
     p = small_params(seed=5)
-    a1 = forward_jet(p, 0.7)
-    b1 = forward_jet(p, 3.1)
-    b2 = forward_jet(p, 3.1)
-    a2 = forward_jet(p, 0.7)
-    assert a1 == a2 and b1 == b2
-
-
-def test_forward_value_equals_jet_value_exactly():
-    p = small_params(seed=11, depth=3, width=6)
-    for eta in (-2.2, 0.0, 0.37, 5.9):
-        assert forward_value(p, eta) == forward_jet(p, eta).v
+    a1 = jet_at(p, 0.7)
+    b1 = jet_at(p, 3.1)
+    b2 = jet_at(p, 3.1)
+    a2 = jet_at(p, 0.7)
+    assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
 
 def test_batch_matches_scalar_path():
@@ -116,20 +113,10 @@ def test_layer0_outer_product_matches_scalar_and_fd(depth, width):
     assert grad_close(grad, fd, rel=1e-5, abs_floor=1e-8)
 
 
-def test_forward_value_random_probes_match_batch():
-    rng = np.random.default_rng(3)
-    for seed in range(5):
-        p = small_params(seed=seed, width=6)
-        etas = rng.uniform(-4, 8, size=20)
-        y = forward_jet_batch(p, etas)
-        for k, eta in enumerate(etas):
-            assert forward_value(p, float(eta)) == pytest.approx(y[0, k], rel=1e-12, abs=1e-14)
-
-
 def test_continuity_probe():
     p = small_params(seed=9)
     for eta in (0.0, 1.0, 4.5):
-        assert abs(forward_value(p, eta + 1e-9) - forward_value(p, eta)) <= 1e-6
+        assert abs(jet_at(p, eta + 1e-9)[0] - jet_at(p, eta)[0]) <= 1e-6
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -137,14 +124,14 @@ def test_derivative_channels_match_finite_differences(seed):
     p = small_params(seed=seed, depth=2, width=12)
 
     def fv(eta):
-        return forward_value(p, eta)
+        return jet_at(p, eta)[0]
 
     for eta in (0.3, 1.7, 4.2):
-        j = forward_jet(p, eta)
-        assert j.d1 == pytest.approx(central_d1(fv, eta, h=1e-5), rel=1e-6, abs=1e-10)
-        assert j.d2 == pytest.approx(central_d2(fv, eta, h=1e-4), rel=1e-4, abs=1e-8)
+        _, d1, d2, d3 = jet_at(p, eta)
+        assert d1 == pytest.approx(central_d1(fv, eta, h=1e-5), rel=1e-6, abs=1e-10)
+        assert d2 == pytest.approx(central_d2(fv, eta, h=1e-4), rel=1e-4, abs=1e-8)
         # five-point stencil, wide step: cancellation dominates below h=1e-2
-        assert j.d3 == pytest.approx(central_d3(fv, eta, h=1e-2), rel=1e-2, abs=1e-6)
+        assert d3 == pytest.approx(central_d3(fv, eta, h=1e-2), rel=1e-2, abs=1e-6)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
