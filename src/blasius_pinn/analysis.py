@@ -28,10 +28,11 @@ class ComparisonReport:
 
 
 def eta99(eta: np.ndarray, fp: np.ndarray) -> float:
-    """First eta where f' reaches 0.99, linearly interpolated between rows."""
+    """First eta where f' reaches 0.99, linearly interpolated between rows;
+    nan if f' never reaches 0.99 on the given grid."""
     above = np.nonzero(fp >= 0.99)[0]
     if above.size == 0:
-        raise ValueError("f' never reaches 0.99 on the given grid")
+        return float("nan")
     i = int(above[0])
     if i == 0:
         return float(eta[0])

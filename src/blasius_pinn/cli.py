@@ -14,15 +14,14 @@ import argparse
 import os
 import sys
 import tempfile
-
-import numpy as np
+from dataclasses import asdict, replace
 
 from .analysis import compare, probe_negative, tabulate
-from .config import MODES, ConfigError, RunConfig, load_config
+from .config import MODES, ConfigError, PathsSpec, RunConfig, load_config, replace_section
 from .grad import DivergenceError
 from .network import load_checkpoint, save_checkpoint
 from .optim import TrainingReport, train
-from .oracle import backward_blowup, shoot
+from .oracle import SolutionTable, backward_blowup, shoot
 from .plotting import plot_solution_table
 
 
@@ -49,14 +48,6 @@ def _atomic(path, write_fn):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def _resolve(out_dir: str, path: str) -> str:
-    if not path:
-        return path
-    if os.path.isabs(path):
-        return path
-    return os.path.join(out_dir, path)
 
 
 def _write_training_report(path, report: TrainingReport) -> None:
@@ -86,44 +77,37 @@ def _write_loss_curve(path, report: TrainingReport) -> None:
             fh.write(f"lbfgs,{it},{f:.17g}\n")
 
 
-def _cmd_train(cfg: RunConfig, out_dir: str, seed: int | None) -> int:
-    net = cfg.network_config(seed_override=seed)
-    grid = cfg.grid.build()
-    p, report = train(net, cfg.adam_config(), cfg.lbfgs_config(), grid,
-                      variant=cfg.boundary_variant)
-    _atomic(_resolve(out_dir, cfg.paths.checkpoint_out),
-            lambda tmp: save_checkpoint(tmp, net, p))
-    _atomic(_resolve(out_dir, cfg.paths.report_out),
-            lambda tmp: _write_training_report(tmp, report))
-    _atomic(_resolve(out_dir, cfg.paths.curve_out),
-            lambda tmp: _write_loss_curve(tmp, report))
-    table = tabulate(p, grid.points)
-    _atomic(_resolve(out_dir, cfg.paths.csv_out), table.to_csv)
-    if cfg.paths.plot_out:
-        _atomic(_resolve(out_dir, cfg.paths.plot_out),
-                lambda tmp: plot_solution_table(table, tmp, title="PINN solution"))
+def _write_table(paths: PathsSpec, table: SolutionTable, title: str) -> None:
+    """The table as paths.csv_out, and as an SVG plot if paths.plot_out is set."""
+    _atomic(paths.csv_out, table.to_csv)
+    if paths.plot_out:
+        _atomic(paths.plot_out, lambda tmp: plot_solution_table(table, tmp, title=title))
+
+
+def _cmd_train(cfg: RunConfig) -> int:
+    p, report = train(cfg.network, cfg.adam, cfg.lbfgs, cfg.grid, variant=cfg.boundary_variant)
+    _atomic(cfg.paths.checkpoint_out, lambda tmp: save_checkpoint(tmp, cfg.network, p))
+    _atomic(cfg.paths.report_out, lambda tmp: _write_training_report(tmp, report))
+    _atomic(cfg.paths.curve_out, lambda tmp: _write_loss_curve(tmp, report))
+    _write_table(cfg.paths, tabulate(p, cfg.grid.points), "PINN solution")
     print(f"ok mode=train loss_total={report.final.total:.6g} "
-          f"lbfgs_status={report.lbfgs_status} seed={net.seed}")
+          f"lbfgs_status={report.lbfgs_status} seed={cfg.network.seed}")
     return 0
 
 
-def _cmd_solve_oracle(cfg: RunConfig, out_dir: str) -> int:
+def _cmd_solve_oracle(cfg: RunConfig) -> int:
     res = shoot(h=cfg.oracle.h, eta_max=cfg.oracle.eta_max)
-    _atomic(_resolve(out_dir, cfg.paths.csv_out), res.table.to_csv)
-    if cfg.paths.plot_out:
-        _atomic(_resolve(out_dir, cfg.paths.plot_out),
-                lambda tmp: plot_solution_table(res.table, tmp, title="Shooting solution"))
+    _write_table(cfg.paths, res.table, "Shooting solution")
     print(f"ok mode=solve-oracle s_star={res.s_star:.9f} h={res.h:g} "
           f"iterations={res.iterations}")
     return 0
 
 
-def _require_checkpoint(cfg: RunConfig, out_dir: str):
-    path = _resolve(out_dir, cfg.paths.checkpoint_in)
-    if not path:
+def _require_checkpoint(cfg: RunConfig):
+    if not cfg.paths.checkpoint_in:
         raise ConfigError("paths.checkpoint_in is required for this mode")
     try:
-        return load_checkpoint(path)
+        return load_checkpoint(cfg.paths.checkpoint_in)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -135,36 +119,22 @@ def _write_kv_csv(path, pairs) -> None:
             fh.write(f"{k},{v:.17g}\n" if isinstance(v, float) else f"{k},{v}\n")
 
 
-def _cmd_compare(cfg: RunConfig, out_dir: str) -> int:
-    _, p = _require_checkpoint(cfg, out_dir)
+def _cmd_compare(cfg: RunConfig) -> int:
+    _, p = _require_checkpoint(cfg)
     res = shoot(h=cfg.oracle.h, eta_max=cfg.oracle.eta_max)
     rep = compare(p, res.table)
-    pairs = [
-        ("max_abs_err_f", rep.max_abs_err_f),
-        ("max_abs_err_fp", rep.max_abs_err_fp),
-        ("max_abs_err_fpp", rep.max_abs_err_fpp),
-        ("rms_err_f", rep.rms_err_f),
-        ("wall_curvature_pinn", rep.wall_curvature_pinn),
-        ("wall_curvature_oracle", rep.wall_curvature_oracle),
-        ("eta99_pinn", rep.eta99_pinn),
-        ("eta99_oracle", rep.eta99_oracle),
-    ]
-    _atomic(_resolve(out_dir, cfg.paths.csv_out), lambda tmp: _write_kv_csv(tmp, pairs))
+    _atomic(cfg.paths.csv_out, lambda tmp: _write_kv_csv(tmp, asdict(rep).items()))
     print(f"ok mode=compare wall_curvature_pinn={rep.wall_curvature_pinn:.6f} "
           f"max_abs_err_f={rep.max_abs_err_f:.3g}")
     return 0
 
 
-def _cmd_probe_negative(cfg: RunConfig, out_dir: str, seed: int | None) -> int:
-    _, p_prev = _require_checkpoint(cfg, out_dir)
-    net = cfg.network_config(seed_override=seed)
-    grid = cfg.probe.build()
-    p_ext, sing = probe_negative(p_prev, net, cfg.adam_config(), cfg.lbfgs_config(), grid)
+def _cmd_probe_negative(cfg: RunConfig) -> int:
+    _, p_prev = _require_checkpoint(cfg)
+    p_ext, sing = probe_negative(p_prev, cfg.network, cfg.adam, cfg.lbfgs, cfg.probe)
     blowup_eta = backward_blowup(sing.pin_value, cfg.oracle.blowup_h)
-    _atomic(_resolve(out_dir, cfg.paths.checkpoint_out),
-            lambda tmp: save_checkpoint(tmp, net, p_ext))
-    table = tabulate(p_ext, grid.points)
-    _atomic(_resolve(out_dir, cfg.paths.csv_out), table.to_csv)
+    _atomic(cfg.paths.checkpoint_out, lambda tmp: save_checkpoint(tmp, cfg.network, p_ext))
+    _write_table(cfg.paths, tabulate(p_ext, cfg.probe.points), "Negative-axis extension")
     pairs = [
         ("pin_value", sing.pin_value),
         ("max_abs_f_edge", sing.max_abs_f_edge),
@@ -177,10 +147,7 @@ def _cmd_probe_negative(cfg: RunConfig, out_dir: str, seed: int | None) -> int:
         ("converged", int(sing.converged)),
         ("lbfgs_status", sing.report.lbfgs_status),
     ]
-    _atomic(_resolve(out_dir, cfg.paths.report_out), lambda tmp: _write_kv_csv(tmp, pairs))
-    if cfg.paths.plot_out:
-        _atomic(_resolve(out_dir, cfg.paths.plot_out),
-                lambda tmp: plot_solution_table(table, tmp, title="Negative-axis extension"))
+    _atomic(cfg.paths.report_out, lambda tmp: _write_kv_csv(tmp, pairs))
     onset = "none" if sing.onset_eta is None else f"{sing.onset_eta:.4f}"
     pole = "none" if sing.pole_eta is None else f"{sing.pole_eta:.4f}"
     blowup = "none" if blowup_eta is None else f"{blowup_eta:.5f}"
@@ -190,16 +157,21 @@ def _cmd_probe_negative(cfg: RunConfig, out_dir: str, seed: int | None) -> int:
     return 0
 
 
-def _cmd_export(cfg: RunConfig, out_dir: str) -> int:
-    _, p = _require_checkpoint(cfg, out_dir)
-    grid = cfg.grid.build()
-    table = tabulate(p, grid.points)
-    _atomic(_resolve(out_dir, cfg.paths.csv_out), table.to_csv)
-    if cfg.paths.plot_out:
-        _atomic(_resolve(out_dir, cfg.paths.plot_out),
-                lambda tmp: plot_solution_table(table, tmp, title="PINN solution"))
+def _cmd_export(cfg: RunConfig) -> int:
+    _, p = _require_checkpoint(cfg)
+    table = tabulate(p, cfg.grid.points)
+    _write_table(cfg.paths, table, "PINN solution")
     print(f"ok mode=export rows={len(table)}")
     return 0
+
+
+_COMMANDS = {
+    "train": _cmd_train,
+    "solve-oracle": _cmd_solve_oracle,
+    "compare": _cmd_compare,
+    "probe-negative": _cmd_probe_negative,
+    "export": _cmd_export,
+}
 
 
 def main(argv=None) -> int:
@@ -215,18 +187,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        cfg.mode = args.mode
-        if args.mode == "train":
-            return _cmd_train(cfg, args.out, args.seed)
-        if args.mode == "solve-oracle":
-            return _cmd_solve_oracle(cfg, args.out)
-        if args.mode == "compare":
-            return _cmd_compare(cfg, args.out)
-        if args.mode == "probe-negative":
-            return _cmd_probe_negative(cfg, args.out, args.seed)
-        if args.mode == "export":
-            return _cmd_export(cfg, args.out)
-        raise ConfigError(f"unknown mode {args.mode!r}")
+        if args.seed is not None:
+            cfg = replace_section(cfg, "network", seed=args.seed)
+        cfg = replace(cfg, mode=args.mode, paths=cfg.paths.under(args.out))
+        return _COMMANDS[cfg.mode](cfg)
     except ConfigError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return 2

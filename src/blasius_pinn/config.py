@@ -9,15 +9,19 @@ Example:
     grid.eta_m = 8
     paths.checkpoint_out = checkpoint.txt
 
-Each key and its type come from a field of the dataclass its section fills.
-Unknown keys, values of the wrong type and non-finite numbers are rejected
-so mistakes fail loudly before any compute starts.
+Each section is the frozen dataclass the program runs with, and each key and
+its type come from one of its fields.  Unknown keys, values of the wrong type,
+non-finite numbers and values a section rejects raise ConfigError when the
+file is read, in every mode, so mistakes fail loudly before any compute
+starts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+import os
+from collections import defaultdict
+from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
 
 from .loss import BOUNDARY_DERIVATIVE, BOUNDARY_LITERAL, CollocationGrid
@@ -31,27 +35,19 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class GridSpec:
-    eta0: float = 0.0
-    eta_m: float = 8.0
-    n: int = 100
-
-    def build(self) -> CollocationGrid:
-        try:
-            return CollocationGrid(self.eta0, self.eta_m, self.n)
-        except ValueError as err:
-            raise ConfigError(f"collocation grid: {err}") from err
-
-
-@dataclass
+@dataclass(frozen=True)
 class OracleSpec:
     h: float = 1e-4
     eta_max: float = 8.0
     blowup_h: float = 1e-5
 
+    def __post_init__(self):
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise ValueError(f"{f.name} must be positive")
 
-@dataclass
+
+@dataclass(frozen=True)
 class PathsSpec:
     checkpoint_in: str = ""
     checkpoint_out: str = "checkpoint.txt"
@@ -60,53 +56,54 @@ class PathsSpec:
     report_out: str = "report.txt"
     curve_out: str = "loss_curve.csv"
 
+    def __post_init__(self):
+        for f in fields(self):
+            if "\0" in getattr(self, f.name):
+                raise ValueError(f"{f.name} contains a NUL character")
 
-@dataclass
+    def under(self, out_dir: str) -> PathsSpec:
+        """These paths with each relative one joined to out_dir; empty paths
+        stay empty."""
+        return PathsSpec(*(path and os.path.join(out_dir, path) for path in astuple(self)))
+
+
+@dataclass(frozen=True)
 class RunConfig:
     mode: str = ""
-    network: dict = field(default_factory=dict)   # raw overrides for NetworkConfig
-    adam: dict = field(default_factory=dict)
-    lbfgs: dict = field(default_factory=dict)
-    grid: GridSpec = field(default_factory=GridSpec)
-    probe: GridSpec = field(default_factory=lambda: GridSpec(eta0=-5.69, eta_m=7.0))
+    network: NetworkConfig = field(default_factory=NetworkConfig)
+    adam: AdamConfig = field(default_factory=AdamConfig)
+    lbfgs: LbfgsConfig = field(default_factory=LbfgsConfig)
+    grid: CollocationGrid = field(default_factory=lambda: CollocationGrid(0.0, 8.0, 100))
+    probe: CollocationGrid = field(default_factory=lambda: CollocationGrid(-5.69, 7.0, 100))
     oracle: OracleSpec = field(default_factory=OracleSpec)
     paths: PathsSpec = field(default_factory=PathsSpec)
     boundary_variant: str = BOUNDARY_DERIVATIVE
 
-    def network_config(self, seed_override: int | None = None) -> NetworkConfig:
-        kw = dict(self.network)
-        if seed_override is not None:
-            kw["seed"] = seed_override
-        try:
-            return NetworkConfig(**kw)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"network config: {err}") from err
-
-    def adam_config(self) -> AdamConfig:
-        try:
-            return AdamConfig(**self.adam)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"adam config: {err}") from err
-
-    def lbfgs_config(self) -> LbfgsConfig:
-        try:
-            return LbfgsConfig(**self.lbfgs)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"lbfgs config: {err}") from err
+    def __post_init__(self):
+        if self.mode and self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}")
+        if self.boundary_variant not in (BOUNDARY_DERIVATIVE, BOUNDARY_LITERAL):
+            raise ValueError(
+                f"boundary_variant must be '{BOUNDARY_DERIVATIVE}' or '{BOUNDARY_LITERAL}'"
+            )
 
 
-# sections held as raw keyword overrides until the config object is built
-_OVERRIDES = {"network": NetworkConfig, "adam": AdamConfig, "lbfgs": LbfgsConfig}
+def replace_section(cfg: RunConfig, name: str, **values) -> RunConfig:
+    """cfg with the given fields of section `name` replaced; a value the
+    section rejects raises ConfigError naming the section."""
+    try:
+        return replace(cfg, **{name: replace(getattr(cfg, name), **values)})
+    except ValueError as err:
+        raise ConfigError(f"{name}: {err}") from err
 
 
 def _key_types() -> dict[str, type]:
     """`key` or `section.key` -> value type, from the fields of RunConfig and
-    of the dataclass each section fills."""
+    of each section's dataclass."""
     table = {}
     for name, hint in get_type_hints(RunConfig).items():
-        section = _OVERRIDES.get(name, hint)
-        if is_dataclass(section):
-            for key, tp in get_type_hints(section).items():
+        if is_dataclass(hint):
+            for key, tp in get_type_hints(hint).items():
                 table[f"{name}.{key}"] = tp
         else:
             table[name] = hint
@@ -117,7 +114,7 @@ _KEY_TYPES = _key_types()
 
 
 def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig()
+    values: dict[str, dict] = defaultdict(dict)   # section ("" at top level) -> field -> value
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -137,28 +134,17 @@ def parse_config(text: str) -> RunConfig:
             except ValueError:
                 kind = "an integer" if tp is int else "a number"
                 raise ConfigError(f"line {lineno}: {key} expects {kind}, got {value!r}")
-            if not math.isfinite(val):
+            if tp is float and not math.isfinite(val):
                 raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
+        section, _, attr = key.rpartition(".")
+        values[section][attr] = val
 
-        if "." in key:
-            section, attr = key.split(".", 1)
-            target = getattr(cfg, section)
-            if isinstance(target, dict):
-                target[attr] = val
-            else:
-                setattr(target, attr, val)
-        else:
-            setattr(cfg, key, val)
-
-    if cfg.mode and cfg.mode not in MODES:
-        raise ConfigError(f"unknown mode {cfg.mode!r}; expected one of {', '.join(MODES)}")
-    if cfg.boundary_variant not in (BOUNDARY_DERIVATIVE, BOUNDARY_LITERAL):
-        raise ConfigError(
-            f"boundary_variant must be '{BOUNDARY_DERIVATIVE}' or '{BOUNDARY_LITERAL}'"
-        )
-    for f in fields(OracleSpec):
-        if not getattr(cfg.oracle, f.name) > 0.0:
-            raise ConfigError(f"oracle.{f.name} must be positive")
+    try:
+        cfg = RunConfig(**values.pop("", {}))
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    for section, kw in values.items():
+        cfg = replace_section(cfg, section, **kw)
     return cfg
 
 
@@ -166,6 +152,6 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     return parse_config(text)

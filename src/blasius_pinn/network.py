@@ -30,6 +30,8 @@ class NetworkConfig:
             raise ValueError("depth must be >= 1")
         if self.width < 1:
             raise ValueError("width must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per affine layer, input dim 1 to output dim 1."""
@@ -37,7 +39,10 @@ class NetworkConfig:
         return list(zip(dims[:-1], dims[1:]))
 
     def param_count(self) -> int:
-        return sum(fi * fo + fo for fi, fo in self.layer_shapes())
+        # closed form of the sum over layer_shapes(), so that a checkpoint's
+        # header is checked without building a list `depth` long
+        w = self.width
+        return 2 * w + (self.depth - 1) * (w * w + w) + w + 1
 
 
 @dataclass
@@ -167,6 +172,8 @@ def load_checkpoint(path) -> tuple[NetworkConfig, ParamVector]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} file")
+    if len(lines) < 2:
+        raise ValueError(f"{path}: no 'depth width seed' line")
     depth, width, seed_ = (int(tok) for tok in lines[1].split())
     cfg = NetworkConfig(depth=depth, width=width, seed=seed_)
     values = np.array([float(s) for s in lines[2:] if s.strip()])
@@ -174,4 +181,6 @@ def load_checkpoint(path) -> tuple[NetworkConfig, ParamVector]:
         raise ValueError(
             f"{path}: expected {cfg.param_count()} parameters, found {values.size}"
         )
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: non-finite parameter")
     return cfg, ParamVector(values, cfg.layer_shapes())

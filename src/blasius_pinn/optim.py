@@ -29,6 +29,10 @@ class AdamConfig:
     switch_tol: float = 1e-3     # hand off to L-BFGS below this loss
 
     def __post_init__(self):
+        if not self.base_lr > 0.0:
+            raise ValueError("base_lr must be positive")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
         if not 0.0 < self.beta1 < 1.0:
             raise ValueError("beta1 must be in (0,1)")
         if not 0.0 < self.beta2 < 1.0:
@@ -83,6 +87,8 @@ class LbfgsConfig:
     def __post_init__(self):
         if self.memory < 1:
             raise ValueError("memory must be >= 1")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ValueError("need 0 < c1 < c2 < 1")
 

@@ -8,7 +8,9 @@ import pytest
 import blasius_pinn
 from blasius_pinn.cli import _atomic, main
 from blasius_pinn.config import ConfigError, RunConfig, parse_config
-from blasius_pinn.network import load_checkpoint
+from blasius_pinn.loss import CollocationGrid
+from blasius_pinn.network import CHECKPOINT_MAGIC, NetworkConfig, load_checkpoint
+from blasius_pinn.optim import AdamConfig
 from blasius_pinn.oracle import SolutionTable
 
 FAST_TRAIN = """
@@ -31,10 +33,11 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 class TestConfigParsing:
     def test_defaults(self):
         cfg = parse_config("")
-        assert cfg.grid.eta_m == 8.0 and cfg.grid.n == 100
+        assert cfg.grid == CollocationGrid(0.0, 8.0, 100)
         assert cfg.probe.eta0 == -5.69
         assert cfg.boundary_variant == "derivative"
-        assert cfg.network_config().width == 100
+        assert cfg.network == NetworkConfig() and cfg.network.width == 100
+        assert cfg == RunConfig()
 
     def test_sections_and_comments(self):
         cfg = parse_config(
@@ -46,9 +49,9 @@ class TestConfigParsing:
             "paths.plot_out = plot.svg\n"
         )
         assert cfg.mode == "train"
-        assert cfg.network_config().depth == 3
-        assert cfg.adam_config().base_lr == 2e-3
-        assert cfg.grid.eta_m == 6.5
+        assert isinstance(cfg.network, NetworkConfig) and cfg.network.depth == 3
+        assert isinstance(cfg.adam, AdamConfig) and cfg.adam.base_lr == 2e-3
+        assert isinstance(cfg.grid, CollocationGrid) and cfg.grid.eta_m == 6.5
         assert cfg.paths.plot_out == "plot.svg"
 
     def test_rejects_unknown_key(self):
@@ -70,16 +73,11 @@ class TestConfigParsing:
             parse_config("boundary_variant = strict\n")
 
     def test_invalid_values_surface_as_config_errors(self):
-        cfg = parse_config("network.depth = 0\n")
-        with pytest.raises(ConfigError):
-            cfg.network_config()
-        cfg = parse_config("adam.decay = 0\n")
-        with pytest.raises(ConfigError):
-            cfg.adam_config()
-
-    def test_seed_override(self):
-        cfg = RunConfig()
-        assert cfg.network_config(seed_override=7).seed == 7
+        # every section is validated when the text is parsed, naming the section
+        with pytest.raises(ConfigError, match="^network: depth"):
+            parse_config("network.depth = 0\n")
+        with pytest.raises(ConfigError, match="^adam: decay"):
+            parse_config("adam.decay = 0\n")
 
 
 class TestCliModes:
@@ -146,6 +144,22 @@ class TestCliModes:
         assert lines[0] == "field,value"
         fields = {l.split(",")[0] for l in lines[1:]}
         assert {"max_abs_err_f", "wall_curvature_pinn", "eta99_oracle"} <= fields
+
+    def test_compare_under_trained_network_reports_nan_eta99(self, tmp_path, capsys):
+        # this network's f' never reaches 0.99 on [0, 8]
+        assert main(["train", "--config", write_cfg(tmp_path, FAST_TRAIN), "--out", str(tmp_path)]) == 0
+        cfg_cmp = write_cfg(
+            tmp_path,
+            "paths.checkpoint_in = checkpoint.txt\n"
+            "paths.csv_out = compare.csv\n"
+            "oracle.h = 1e-2\n",
+            name="cmp.cfg",
+        )
+        assert main(["compare", "--config", cfg_cmp, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rows = dict(l.split(",", 1) for l in (tmp_path / "compare.csv").read_text().splitlines()[1:])
+        assert rows["eta99_pinn"] == "nan"
+        assert abs(float(rows["eta99_oracle"]) - 4.91) < 0.01
 
     def test_export_roundtrip(self, tmp_path, capsys):
         cfg_train = write_cfg(tmp_path, FAST_TRAIN)
@@ -247,6 +261,18 @@ class TestCliErrors:
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
         capsys.readouterr()
 
+    @staticmethod
+    def assert_exits_2(tmp_path, mode, cfg_path):
+        # a separate process, so an uncaught exception shows as its exit code
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(blasius_pinn.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "blasius_pinn.cli", mode, "--config", cfg_path, "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error: config:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("mode,line", [
         ("train", "grid.n = 1"),
         ("train", "grid.eta0 = 9"),
@@ -254,18 +280,34 @@ class TestCliErrors:
         ("solve-oracle", "oracle.h = -1"),
         ("train", "adam.base_lr = nan"),
         ("train", "grid.eta_m = inf"),
+        ("train", "network.seed = -1"),
+        ("train", "adam.base_lr = -1"),
+        ("train", "adam.max_steps = -5"),
+        ("train", "lbfgs.max_iters = -5"),
+        ("solve-oracle", "network.depth = 0"),
+        ("solve-oracle", "network.depth = -1" + "0" * 400),
+        ("solve-oracle", "paths.csv_out = a\0b"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, mode, line):
-        # a separate process, so an uncaught exception shows as its exit code
-        cfg = write_cfg(tmp_path, line + "\n")
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(blasius_pinn.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "blasius_pinn.cli", mode, "--config", cfg, "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert "error: config:" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        self.assert_exits_2(tmp_path, mode, write_cfg(tmp_path, line + "\n"))
+
+    def test_seed_flag_out_of_range_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FAST_TRAIN)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 2
+        assert "error: config: network: seed" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_2(self, tmp_path):
+        (tmp_path / "run.cfg").write_bytes(b"mode = train\n\xff\xfe\n")
+        self.assert_exits_2(tmp_path, "solve-oracle", str(tmp_path / "run.cfg"))
+
+    @pytest.mark.parametrize("checkpoint", [
+        CHECKPOINT_MAGIC + "\n",                              # no header line
+        CHECKPOINT_MAGIC + "\n1 1 0\n0.5\nnan\n0.5\n0.5\n",     # 1x1 network, 4 parameters
+        CHECKPOINT_MAGIC + "\n1 1 0\n0.5\n-inf\n0.5\n0.5\n",
+    ], ids=["magic_only", "nan_parameter", "inf_parameter"])
+    def test_bad_checkpoint_exits_2(self, tmp_path, checkpoint):
+        (tmp_path / "ck.txt").write_text(checkpoint)
+        self.assert_exits_2(tmp_path, "export", write_cfg(tmp_path, "paths.checkpoint_in = ck.txt\n"))
 
     def test_unknown_mode_rejected_by_argparse(self, tmp_path, capsys):
         assert main(["swim", "--out", str(tmp_path)]) == 2

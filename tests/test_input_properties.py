@@ -1,0 +1,59 @@
+"""Property tests at the two places outside input enters the program: config
+text and checkpoint files.  Each must either load or raise the one error the
+CLI maps to exit code 2; any other exception would reach the user as a
+traceback."""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from blasius_pinn.config import _KEY_TYPES, ConfigError, RunConfig, parse_config
+from blasius_pinn.network import CHECKPOINT_MAGIC, NetworkConfig, ParamVector, load_checkpoint
+
+numbers = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(10 ** 500), max_value=10 ** 500),
+    st.floats(),
+).map(str)
+values = st.one_of(numbers, st.text(), st.sampled_from(["train", "derivative", "literal", ""]))
+keys = st.one_of(st.sampled_from(sorted(_KEY_TYPES)), st.text())
+config_lines = st.one_of(
+    st.builds(lambda k, v: f"{k} = {v}", keys, values),
+    st.text(),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(config_lines, max_size=8))
+def test_config_text_parses_or_raises_config_error(lines):
+    try:
+        cfg = parse_config("\n".join(lines))
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+header = st.one_of(
+    st.tuples(st.integers(), st.integers(), st.integers()).map(lambda t: " ".join(map(str, t))),
+    st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(0, 3)).map(
+        lambda t: " ".join(map(str, t))),
+    st.text(),
+)
+checkpoint_lines = st.tuples(
+    st.one_of(st.just(CHECKPOINT_MAGIC), st.text()),
+    st.lists(header, max_size=1),
+    st.lists(st.one_of(numbers, st.text()), max_size=30),
+).map(lambda t: [t[0], *t[1], *t[2]])
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(checkpoint_lines)
+def test_checkpoint_text_loads_or_raises_value_error(tmp_path, lines):
+    path = tmp_path / "checkpoint.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        cfg, p = load_checkpoint(path)
+    except ValueError:
+        return
+    assert isinstance(cfg, NetworkConfig) and isinstance(p, ParamVector)
+    assert len(p) == cfg.param_count()

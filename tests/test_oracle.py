@@ -27,6 +27,13 @@ def test_shoot_matches_published_three_digit_value(shoot_result):
     assert shoot_result.s_star == pytest.approx(0.332, abs=5e-4)
 
 
+def test_shoot_matches_literature_constant_at_eta_max_10():
+    # f''(0) of f''' + f f''/2 = 0 on the infinite domain; at eta_max = 8 the
+    # far-field truncation puts s* 1.86e-6 above it
+    res = shoot(h=1e-3, eta_max=10.0)
+    assert abs(res.s_star - 0.33205733621) <= 2e-9
+
+
 def test_table_endpoint_values(shoot_result):
     t = shoot_result.table
     assert t.eta[0] == 0.0 and t.eta[-1] == pytest.approx(8.0)
