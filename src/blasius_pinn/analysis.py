@@ -13,6 +13,7 @@ from .optim import AdamConfig, LbfgsConfig, TrainingReport, train
 from .oracle import SolutionTable
 
 TABULATE_BLOCK = 4096     # nodes per forward pass in tabulate
+ONSET_STEP = 0.01         # eta spacing of the growth_onset lattices
 
 
 @dataclass
@@ -120,11 +121,11 @@ def pole_from_profile(eta: np.ndarray, f: np.ndarray) -> float | None:
     return float(eta[i]) - 6.0 / f0
 
 
-def growth_onset(p: ParamVector, eta_lo: float, eta_hi: float, step: float = 0.01) -> tuple[float | None, float]:
+def growth_onset(p: ParamVector, eta_lo: float, eta_hi: float) -> tuple[float | None, float]:
     """Rapid-growth onset of the network's f''' on [eta_lo, eta_hi]."""
-    ref = np.arange(0.0, 5.0 + step / 2, step)
+    ref = np.arange(0.0, 5.0 + ONSET_STEP / 2, ONSET_STEP)
     y_ref = forward_jet_batch(p, ref)
-    scan = np.arange(eta_lo, eta_hi + step / 2, step)
+    scan = np.arange(eta_lo, eta_hi + ONSET_STEP / 2, ONSET_STEP)
     y = forward_jet_batch(p, scan)
     return onset_from_profile(scan, y[3], y_ref[3])
 

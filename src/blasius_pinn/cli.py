@@ -85,7 +85,7 @@ def _write_table(paths: PathsSpec, table: SolutionTable, title: str) -> None:
 
 
 def _cmd_train(cfg: RunConfig) -> int:
-    p, report = train(cfg.network, cfg.adam, cfg.lbfgs, cfg.grid, variant=cfg.boundary_variant)
+    p, report = train(cfg.network, cfg.adam, cfg.lbfgs, cfg.grid)
     _atomic(cfg.paths.checkpoint_out, lambda tmp: save_checkpoint(tmp, cfg.network, p))
     _atomic(cfg.paths.report_out, lambda tmp: _write_training_report(tmp, report))
     _atomic(cfg.paths.curve_out, lambda tmp: _write_loss_curve(tmp, report))

@@ -24,7 +24,7 @@ from collections import defaultdict
 from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
 
-from .loss import BOUNDARY_DERIVATIVE, BOUNDARY_LITERAL, CollocationGrid
+from .loss import CollocationGrid
 from .network import NetworkConfig
 from .optim import AdamConfig, LbfgsConfig
 
@@ -74,18 +74,13 @@ class RunConfig:
     adam: AdamConfig = field(default_factory=AdamConfig)
     lbfgs: LbfgsConfig = field(default_factory=LbfgsConfig)
     grid: CollocationGrid = field(default_factory=lambda: CollocationGrid(0.0, 8.0, 100))
-    probe: CollocationGrid = field(default_factory=lambda: CollocationGrid(-5.69, 7.0, 100))
+    probe: CollocationGrid = field(default_factory=lambda: CollocationGrid(-4.5, 7.0, 100))
     oracle: OracleSpec = field(default_factory=OracleSpec)
     paths: PathsSpec = field(default_factory=PathsSpec)
-    boundary_variant: str = BOUNDARY_DERIVATIVE
 
     def __post_init__(self):
         if self.mode and self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}")
-        if self.boundary_variant not in (BOUNDARY_DERIVATIVE, BOUNDARY_LITERAL):
-            raise ValueError(
-                f"boundary_variant must be '{BOUNDARY_DERIVATIVE}' or '{BOUNDARY_LITERAL}'"
-            )
 
 
 def replace_section(cfg: RunConfig, name: str, **values) -> RunConfig:

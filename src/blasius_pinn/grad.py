@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import BOUNDARY_DERIVATIVE, CollocationGrid, LossBreakdown, loss_terms
+from .loss import CollocationGrid, LossBreakdown, loss_terms
 from .network import ParamVector, backward_jet_batch, forward_jet_batch
 
 
@@ -31,16 +31,11 @@ class GradResult:
     grad: np.ndarray
 
 
-def loss_and_grad(
-    p: ParamVector,
-    grid: CollocationGrid,
-    pin: float | None = None,
-    variant: str = BOUNDARY_DERIVATIVE,
-) -> GradResult:
+def loss_and_grad(p: ParamVector, grid: CollocationGrid, pin: float | None = None) -> GradResult:
     """Loss breakdown and d(total)/d(theta) in one forward + one reverse pass."""
     pts = grid.anchored_points
     y, cache = forward_jet_batch(p, pts, want_cache=True)
-    r, breakdown, ybar = loss_terms(y, pin, variant)
+    r, breakdown, ybar = loss_terms(y, pin)
     if not np.all(np.isfinite(r)):
         bad = int(np.argmax(~np.isfinite(r)))
         raise DivergenceError(

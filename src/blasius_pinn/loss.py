@@ -18,9 +18,6 @@ import numpy as np
 
 from .network import ParamVector, forward_jet_batch
 
-BOUNDARY_DERIVATIVE = "derivative"   # (f'(eta_m) - 1)^2, the physical condition
-BOUNDARY_LITERAL = "literal"         # (f(eta_m) - 1)^2, for comparison only
-
 
 @dataclass(frozen=True)
 class CollocationGrid:
@@ -70,11 +67,7 @@ def residual(y: np.ndarray) -> np.ndarray:
     return y[3] + 0.5 * y[0] * y[2]
 
 
-def loss_terms(
-    y: np.ndarray,
-    pin: float | None = None,
-    variant: str = BOUNDARY_DERIVATIVE,
-) -> tuple[np.ndarray, LossBreakdown, np.ndarray]:
+def loss_terms(y: np.ndarray, pin: float | None = None) -> tuple[np.ndarray, LossBreakdown, np.ndarray]:
     """Loss terms of the output jet y (shape (4, n + 2)) at the n grid points
     followed by the anchors 0 and eta_m, as in `anchored_points`.
 
@@ -84,30 +77,25 @@ def loss_terms(
     n = y.shape[1] - 2
     r = residual(y[:, :n])
     f0, fp0, fpp0 = y[0, n], y[1, n], y[2, n]
-    far = 0 if variant == BOUNDARY_LITERAL else 1    # the channel held at 1
+    fp_far = y[1, n + 1]
     ybar = np.zeros_like(y)
     ybar[0, :n] = r * y[2, :n]          # 2 r * d r/d f, with d r/d f = f''/2
     ybar[2, :n] = r * y[0, :n]
     ybar[3, :n] = 2.0 * r
     ybar[0, n] += 2.0 * f0
     ybar[1, n] += 2.0 * fp0
-    ybar[far, n + 1] += 2.0 * (y[far, n + 1] - 1.0)
+    ybar[1, n + 1] += 2.0 * (fp_far - 1.0)
     if pin is not None:
         ybar[2, n] += 2.0 * (fpp0 - pin)
     breakdown = LossBreakdown(
         ode=float(np.sum(r * r)),
         init=float(f0 ** 2 + fp0 ** 2),
-        boundary=float((y[far, n + 1] - 1.0) ** 2),
+        boundary=float((fp_far - 1.0) ** 2),
         pin=0.0 if pin is None else float((fpp0 - pin) ** 2),
     )
     return r, breakdown, ybar
 
 
-def loss_total(
-    p: ParamVector,
-    grid: CollocationGrid,
-    pin: float | None = None,
-    variant: str = BOUNDARY_DERIVATIVE,
-) -> LossBreakdown:
+def loss_total(p: ParamVector, grid: CollocationGrid, pin: float | None = None) -> LossBreakdown:
     """Full loss breakdown; one batched forward pass over grid + anchors."""
-    return loss_terms(forward_jet_batch(p, grid.anchored_points), pin, variant)[1]
+    return loss_terms(forward_jet_batch(p, grid.anchored_points), pin)[1]

@@ -15,6 +15,7 @@ import numpy as np
 from . import kernels
 
 CHECKPOINT_MAGIC = "blasius-pinn-checkpoint v1"
+MAX_PARAMS = 10 ** 7       # larger networks are rejected before any allocation
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,8 @@ class NetworkConfig:
             raise ValueError("width must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.param_count() > MAX_PARAMS:
+            raise ValueError(f"depth and width give more than {MAX_PARAMS} parameters")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per affine layer, input dim 1 to output dim 1."""

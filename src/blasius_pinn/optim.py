@@ -13,18 +13,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grad import DivergenceError, loss_and_grad
-from .loss import BOUNDARY_DERIVATIVE, CollocationGrid, LossBreakdown, loss_total
+from .loss import CollocationGrid, LossBreakdown, loss_total
 from .network import NetworkConfig, ParamVector, init_params
+
+ADAM_BETA1 = 0.9             # first-moment decay
+ADAM_BETA2 = 0.999           # second-moment decay
+ADAM_EPS = 1e-8
+DECAY_EVERY = 100            # full-batch Adam steps per learning-rate epoch
+
+LBFGS_MEMORY = 20            # curvature pairs kept
+WOLFE_C1 = 1e-4              # sufficient decrease
+WOLFE_C2 = 0.9               # curvature
+MAX_LINE_EVALS = 25          # trial steps in the bracketing phase, and again in zoom
 
 
 @dataclass(frozen=True)
 class AdamConfig:
     base_lr: float = 1e-3
     decay: float = 0.96          # multiplicative lr decay per epoch
-    decay_every: int = 100       # full-batch steps per epoch for the schedule
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_steps: int = 5000
     switch_tol: float = 1e-3     # hand off to L-BFGS below this loss
 
@@ -33,20 +39,12 @@ class AdamConfig:
             raise ValueError("base_lr must be positive")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        if not 0.0 < self.beta1 < 1.0:
-            raise ValueError("beta1 must be in (0,1)")
-        if not 0.0 < self.beta2 < 1.0:
-            raise ValueError("beta2 must be in (0,1)")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
         if not 0.0 < self.decay <= 1.0:
             raise ValueError("decay must be in (0,1]")
-        if self.decay_every < 1:
-            raise ValueError("decay_every must be >= 1")
 
     def lr_at(self, step: int) -> float:
         """Learning rate applied at (1-based) step: base_lr * decay^epoch."""
-        epoch = (step - 1) // self.decay_every
+        epoch = (step - 1) // DECAY_EVERY
         return self.base_lr * self.decay ** epoch
 
 
@@ -67,30 +65,22 @@ def adam_step(state: AdamState, grad: np.ndarray, cfg: AdamConfig) -> AdamState:
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("non-finite gradient passed to adam_step", step=state.t + 1)
     t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
-    x = state.x - cfg.lr_at(t) * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    x = state.x - cfg.lr_at(t) * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return AdamState(x, m, v, t)
 
 
 @dataclass(frozen=True)
 class LbfgsConfig:
-    memory: int = 20
     max_iters: int = 2000
     grad_tol: float = 1e-9       # on the max-norm of the gradient
-    c1: float = 1e-4             # sufficient decrease
-    c2: float = 0.9              # curvature
-    max_line_evals: int = 25
 
     def __post_init__(self):
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ValueError("need 0 < c1 < c2 < 1")
 
 
 @dataclass
@@ -121,8 +111,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _strong_wolfe(f_and_g, x, f0, g0, d, cfg: LbfgsConfig, alpha0: float = 1.0):
-    """Line search satisfying the strong Wolfe conditions.
+def _strong_wolfe(f_and_g, x, f0, g0, d):
+    """Line search from the unit step, satisfying the strong Wolfe conditions.
 
     Near a minimum the decrease c1 * alpha * phi'(0) that sufficient decrease
     asks for falls below the rounding of f.  A trial point whose f is within
@@ -143,7 +133,7 @@ def _strong_wolfe(f_and_g, x, f0, g0, d, cfg: LbfgsConfig, alpha0: float = 1.0):
         return f_a, g_a, _dot(g_a, d)
 
     def approx_wolfe(f_a, d_a):
-        return f_a <= f_flat and cfg.c2 * dphi0 <= d_a <= (2.0 * cfg.c1 - 1.0) * dphi0
+        return f_a <= f_flat and WOLFE_C2 * dphi0 <= d_a <= (2.0 * WOLFE_C1 - 1.0) * dphi0
 
     evals = 0
     best = (0.0, f0, g0)
@@ -155,7 +145,7 @@ def _strong_wolfe(f_and_g, x, f0, g0, d, cfg: LbfgsConfig, alpha0: float = 1.0):
 
     def zoom(lo, f_lo, d_lo, hi, f_hi, d_hi):
         nonlocal evals
-        for _ in range(cfg.max_line_evals):
+        for _ in range(MAX_LINE_EVALS):
             alpha = _cubic_min(lo, f_lo, d_lo, hi, f_hi, d_hi)
             width = abs(hi - lo)
             if not np.isfinite(alpha) or alpha <= min(lo, hi) + 0.1 * width or alpha >= max(lo, hi) - 0.1 * width:
@@ -163,12 +153,12 @@ def _strong_wolfe(f_and_g, x, f0, g0, d, cfg: LbfgsConfig, alpha0: float = 1.0):
             f_a, g_a, d_a = phi(alpha)
             evals += 1
             note(alpha, f_a, g_a)
-            if f_a > f0 + cfg.c1 * alpha * dphi0 or f_a >= f_lo:
+            if f_a > f0 + WOLFE_C1 * alpha * dphi0 or f_a >= f_lo:
                 if approx_wolfe(f_a, d_a):
                     return alpha, f_a, g_a
                 hi, f_hi, d_hi = alpha, f_a, d_a
             else:
-                if abs(d_a) <= -cfg.c2 * dphi0:
+                if abs(d_a) <= -WOLFE_C2 * dphi0:
                     return alpha, f_a, g_a
                 if d_a * (hi - lo) >= 0.0:
                     hi, f_hi, d_hi = lo, f_lo, d_lo
@@ -178,19 +168,19 @@ def _strong_wolfe(f_and_g, x, f0, g0, d, cfg: LbfgsConfig, alpha0: float = 1.0):
         return None, None, None
 
     alpha_prev, f_prev, d_prev = 0.0, f0, dphi0
-    alpha = alpha0
-    for i in range(cfg.max_line_evals):
+    alpha = 1.0
+    for i in range(MAX_LINE_EVALS):
         f_a, g_a, d_a = phi(alpha)
         evals += 1
         note(alpha, f_a, g_a)
-        if f_a > f0 + cfg.c1 * alpha * dphi0 or (i > 0 and f_a >= f_prev):
+        if f_a > f0 + WOLFE_C1 * alpha * dphi0 or (i > 0 and f_a >= f_prev):
             if approx_wolfe(f_a, d_a):
                 return True, alpha, f_a, g_a, evals
             a, fa, ga = zoom(alpha_prev, f_prev, d_prev, alpha, f_a, d_a)
             if a is not None:
                 return True, a, fa, ga, evals
             break
-        if abs(d_a) <= -cfg.c2 * dphi0:
+        if abs(d_a) <= -WOLFE_C2 * dphi0:
             return True, alpha, f_a, g_a, evals
         if d_a >= 0.0:
             a, fa, ga = zoom(alpha, f_a, d_a, alpha_prev, f_prev, d_prev)
@@ -256,7 +246,7 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = f_and_grad(x)
     n_evals = 1
-    pairs = CurvaturePairs(cfg.memory, x.size)
+    pairs = CurvaturePairs(LBFGS_MEMORY, x.size)
     history = []
     best_x, best_f = x.copy(), f
     status = "max_iters"
@@ -266,7 +256,7 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
             status = "converged"
             break
         d = pairs.direction(g)
-        ok, alpha, f_new, g_new, evals = _strong_wolfe(f_and_grad, x, f, g, d, cfg)
+        ok, alpha, f_new, g_new, evals = _strong_wolfe(f_and_grad, x, f, g, d)
         n_evals += evals
         if not ok:
             # line search failed: keep the best point seen and stop
@@ -309,7 +299,6 @@ def train(
     cfg_lbfgs: LbfgsConfig,
     grid: CollocationGrid,
     pin: float | None = None,
-    variant: str = BOUNDARY_DERIVATIVE,
 ) -> tuple[ParamVector, TrainingReport]:
     """Initialize, run Adam until max_steps or switch_tol, refine with L-BFGS.
 
@@ -320,7 +309,7 @@ def train(
     shapes = p.shapes
 
     def objective(x: np.ndarray):
-        res = loss_and_grad(ParamVector(x, shapes), grid, pin=pin, variant=variant)
+        res = loss_and_grad(ParamVector(x, shapes), grid, pin=pin)
         return res.loss.total, res.grad
 
     state = AdamState.fresh(p.values)
@@ -344,7 +333,7 @@ def train(
         best_f, best_x = lbfgs.fval, lbfgs.x
 
     p_best = ParamVector(best_x, shapes)
-    final = loss_total(p_best, grid, pin=pin, variant=variant)
+    final = loss_total(p_best, grid, pin=pin)
     report = TrainingReport(
         seed=cfg_net.seed,
         adam_steps=len(adam_curve),

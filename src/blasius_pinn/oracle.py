@@ -18,6 +18,8 @@ from .grad import DivergenceError
 OVERFLOW_LIMIT = 1e12       # |f| beyond this is reported as divergence
 BLOWUP_LIMIT = 1e8          # |f| threshold for the negative-axis probe
 ETA_FLOOR = -10.0
+SHOOT_TOL = 1e-10           # secant stops once |f'(eta_max) - 1| is this small
+SHOOT_MAX_ITERS = 100       # secant iterations per pass
 
 
 @dataclass
@@ -115,7 +117,7 @@ def rk4_shoot(s: float, h: float, eta_max: float) -> SolutionTable:
     return SolutionTable(eta, fs, fps, fpps, res)
 
 
-def shoot(h: float = 1e-4, eta_max: float = 8.0, tol: float = 1e-10, max_iters: int = 100) -> ShootingResult:
+def shoot(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
     """Secant iteration on g(s) = f'(eta_max; s) - 1 from s in {0.1, 0.5}.
 
     A coarse warm-up pass (10x step) cuts down the number of fine
@@ -128,7 +130,7 @@ def shoot(h: float = 1e-4, eta_max: float = 8.0, tol: float = 1e-10, max_iters: 
         nonlocal iterations
         g0 = _integrate_end(s0, step, eta_max)[1] - 1.0
         g1 = _integrate_end(s1, step, eta_max)[1] - 1.0
-        for _ in range(max_iters):
+        for _ in range(SHOOT_MAX_ITERS):
             iterations += 1
             if g1 == g0:
                 break
@@ -136,7 +138,7 @@ def shoot(h: float = 1e-4, eta_max: float = 8.0, tol: float = 1e-10, max_iters: 
             s0, g0 = s1, g1
             s1 = s2
             g1 = _integrate_end(s1, step, eta_max)[1] - 1.0
-            if abs(g1) <= tol:
+            if abs(g1) <= SHOOT_TOL:
                 return s1
         raise DivergenceError(f"shooting did not converge at h={step}")
 

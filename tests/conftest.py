@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blasius_pinn.analysis import onset_from_profile
+from blasius_pinn.analysis import ONSET_STEP, onset_from_profile
 from blasius_pinn.loss import CollocationGrid
 from blasius_pinn.network import NetworkConfig
 from blasius_pinn.optim import AdamConfig, LbfgsConfig, train
@@ -26,12 +26,12 @@ def exact_profile(s_star: float, eta_lo: float, eta_hi: float, h: float = 1e-4):
     return eta, f, -0.5 * f * fpp
 
 
-def exact_growth_onset(s_star: float, eta_lo: float, eta_hi: float, step: float = 0.01):
+def exact_growth_onset(s_star: float, eta_lo: float, eta_hi: float):
     """The growth_onset detector applied to the exact solution, sampled on the
     same lattices on which growth_onset samples a network."""
     eta, _, fppp = exact_profile(s_star, eta_lo, max(eta_hi, 5.0))
-    ref = np.arange(0.0, 5.0 + step / 2, step)
-    scan = np.arange(eta_lo, eta_hi + step / 2, step)
+    ref = np.arange(0.0, 5.0 + ONSET_STEP / 2, ONSET_STEP)
+    scan = np.arange(eta_lo, eta_hi + ONSET_STEP / 2, ONSET_STEP)
     return onset_from_profile(scan, np.interp(scan, eta, fppp), np.interp(ref, eta, fppp))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import blasius_pinn
 from blasius_pinn.cli import _atomic, main
-from blasius_pinn.config import ConfigError, RunConfig, parse_config
+from blasius_pinn.config import _KEY_TYPES, ConfigError, RunConfig, parse_config
 from blasius_pinn.loss import CollocationGrid
 from blasius_pinn.network import CHECKPOINT_MAGIC, NetworkConfig, load_checkpoint
 from blasius_pinn.optim import AdamConfig
@@ -34,8 +34,7 @@ class TestConfigParsing:
     def test_defaults(self):
         cfg = parse_config("")
         assert cfg.grid == CollocationGrid(0.0, 8.0, 100)
-        assert cfg.probe.eta0 == -5.69
-        assert cfg.boundary_variant == "derivative"
+        assert cfg.probe == CollocationGrid(-4.5, 7.0, 100)   # short of the pole at -5.69
         assert cfg.network == NetworkConfig() and cfg.network.width == 100
         assert cfg == RunConfig()
 
@@ -69,8 +68,9 @@ class TestConfigParsing:
     def test_rejects_bad_mode_and_variant(self):
         with pytest.raises(ConfigError):
             parse_config("mode = fly\n")
-        with pytest.raises(ConfigError):
-            parse_config("boundary_variant = strict\n")
+        # the far-field condition is always f'(eta_m) = 1; the key is gone
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config("boundary_variant = derivative\n")
 
     def test_invalid_values_surface_as_config_errors(self):
         # every section is validated when the text is parsed, naming the section
@@ -78,6 +78,20 @@ class TestConfigParsing:
             parse_config("network.depth = 0\n")
         with pytest.raises(ConfigError, match="^adam: decay"):
             parse_config("adam.decay = 0\n")
+
+    def test_key_table(self):
+        # a new config key is a reviewed change to this list
+        assert sorted(_KEY_TYPES) == [
+            "adam.base_lr", "adam.decay", "adam.max_steps", "adam.switch_tol",
+            "grid.eta0", "grid.eta_m", "grid.n",
+            "lbfgs.grad_tol", "lbfgs.max_iters",
+            "mode",
+            "network.depth", "network.seed", "network.width",
+            "oracle.blowup_h", "oracle.eta_max", "oracle.h",
+            "paths.checkpoint_in", "paths.checkpoint_out", "paths.csv_out",
+            "paths.curve_out", "paths.plot_out", "paths.report_out",
+            "probe.eta0", "probe.eta_m", "probe.n",
+        ]
 
 
 class TestCliModes:
@@ -287,6 +301,8 @@ class TestCliErrors:
         ("solve-oracle", "network.depth = 0"),
         ("solve-oracle", "network.depth = -1" + "0" * 400),
         ("solve-oracle", "paths.csv_out = a\0b"),
+        ("train", "network.width = 1" + "0" * 400),
+        ("train", "network.width = 1000000"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, mode, line):
         self.assert_exits_2(tmp_path, mode, write_cfg(tmp_path, line + "\n"))

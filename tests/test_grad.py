@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from blasius_pinn.grad import DivergenceError, loss_and_grad
-from blasius_pinn.loss import BOUNDARY_LITERAL, CollocationGrid, loss_total
+from blasius_pinn.loss import CollocationGrid, loss_total
 from blasius_pinn.network import NetworkConfig, ParamVector, init_params
 from fd_oracle import fd_gradient_coords, grad_close
 
 GRID = CollocationGrid(0.0, 8.0, 25)
 
 
-def loss_fn(shapes, grid=GRID, pin=None, variant="derivative"):
+def loss_fn(shapes, grid=GRID, pin=None):
     def fn(values):
         p = ParamVector(values, shapes)
-        return loss_total(p, grid, pin=pin, variant=variant).total
+        return loss_total(p, grid, pin=pin).total
     return fn
 
 
@@ -39,17 +39,14 @@ def test_gradient_matches_finite_differences(seed):
     assert grad_close(res.grad[coords], fd, rel=1e-5, abs_floor=1e-8)
 
 
-def test_gradient_with_pin_and_literal_variant():
+def test_gradient_with_pin():
     cfg = NetworkConfig(depth=2, width=8, seed=4)
     p = init_params(cfg)
     rng = np.random.default_rng(7)
     coords = rng.choice(cfg.param_count(), size=30, replace=False)
-    for pin, variant in [(0.33, "derivative"), (None, BOUNDARY_LITERAL), (0.1, BOUNDARY_LITERAL)]:
-        res = loss_and_grad(p, GRID, pin=pin, variant=variant)
-        fd = fd_gradient_coords(
-            loss_fn(cfg.layer_shapes(), pin=pin, variant=variant), p.values, coords
-        )
-        assert grad_close(res.grad[coords], fd, rel=1e-5, abs_floor=1e-8)
+    res = loss_and_grad(p, GRID, pin=0.33)
+    fd = fd_gradient_coords(loss_fn(cfg.layer_shapes(), pin=0.33), p.values, coords)
+    assert grad_close(res.grad[coords], fd, rel=1e-5, abs_floor=1e-8)
 
 
 def test_gradient_deeper_network():

@@ -14,7 +14,7 @@ numbers = st.one_of(
     st.integers(min_value=-(10 ** 500), max_value=10 ** 500),
     st.floats(),
 ).map(str)
-values = st.one_of(numbers, st.text(), st.sampled_from(["train", "derivative", "literal", ""]))
+values = st.one_of(numbers, st.text(), st.sampled_from(["train", ""]))
 keys = st.one_of(st.sampled_from(sorted(_KEY_TYPES)), st.text())
 config_lines = st.one_of(
     st.builds(lambda k, v: f"{k} = {v}", keys, values),

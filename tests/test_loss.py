@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blasius_pinn.loss import BOUNDARY_LITERAL, CollocationGrid, LossBreakdown, loss_total, residual
+from blasius_pinn.loss import CollocationGrid, LossBreakdown, loss_total, residual
 from blasius_pinn.network import NetworkConfig, ParamVector, forward_jet_batch, init_params
 
 
@@ -61,7 +61,6 @@ def test_constant_network_init_loss():
     assert bd.ode == 0.0
     assert bd.init == pytest.approx(0.49)  # derivative channel is zero
     assert bd.boundary == 1.0
-    assert loss_total(p, g, variant=BOUNDARY_LITERAL).boundary == pytest.approx(0.09)
 
 
 def test_near_identity_network_boundary_loss():
@@ -111,13 +110,6 @@ def test_sum_semantics_doubling_points():
     l1 = loss_total(p, CollocationGrid(0.0, 8.0, 100)).ode
     l2 = loss_total(p, CollocationGrid(0.0, 8.0, 200)).ode
     assert 1.5 <= l2 / l1 <= 2.5
-
-
-def test_literal_variant_total():
-    p = const_params(0.5)
-    g = CollocationGrid(0.0, 8.0, 10)
-    assert loss_total(p, g, variant=BOUNDARY_LITERAL).boundary == pytest.approx(0.25)
-    assert loss_total(p, g).boundary == 1.0
 
 
 def test_breakdown_total_property():

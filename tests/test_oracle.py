@@ -60,7 +60,7 @@ def test_far_field_linear_growth(shoot_result):
 
 
 def test_step_size_insensitivity():
-    r = shoot(h=1e-3, eta_max=8.0, tol=1e-10)
+    r = shoot(h=1e-3, eta_max=8.0)
     assert r.s_star == pytest.approx(S_STAR, abs=1e-9)
 
 
