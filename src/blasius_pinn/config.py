@@ -27,6 +27,7 @@ from typing import get_type_hints
 from .loss import CollocationGrid
 from .network import NetworkConfig
 from .optim import AdamConfig, LbfgsConfig
+from .oracle import ETA_FLOOR, MAX_STEPS
 
 MODES = ("train", "solve-oracle", "compare", "probe-negative", "export")
 
@@ -45,6 +46,10 @@ class OracleSpec:
         for f in fields(self):
             if not getattr(self, f.name) > 0.0:
                 raise ValueError(f"{f.name} must be positive")
+        if self.eta_max / self.h > MAX_STEPS:
+            raise ValueError(f"eta_max / h must be at most {MAX_STEPS} RK4 steps")
+        if -ETA_FLOOR / self.blowup_h > MAX_STEPS:
+            raise ValueError(f"{-ETA_FLOOR:g} / blowup_h must be at most {MAX_STEPS} RK4 steps")
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,11 @@ class PathsSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            if "\0" in getattr(self, f.name):
+            path = getattr(self, f.name)
+            if "\0" in path:
                 raise ValueError(f"{f.name} contains a NUL character")
+            if not path and f.name not in ("checkpoint_in", "plot_out"):
+                raise ValueError(f"{f.name} must not be empty")
 
     def under(self, out_dir: str) -> PathsSpec:
         """These paths with each relative one joined to out_dir; empty paths

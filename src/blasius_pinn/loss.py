@@ -18,6 +18,8 @@ import numpy as np
 
 from .network import ParamVector, forward_jet_batch
 
+MAX_POINTS = 10 ** 6        # grid points; at width 100 each jet array then takes 3.2 GB
+
 
 @dataclass(frozen=True)
 class CollocationGrid:
@@ -32,6 +34,8 @@ class CollocationGrid:
             raise ValueError("grid requires eta0 < eta_m")
         if self.n < 2:
             raise ValueError("grid requires n >= 2")
+        if self.n > MAX_POINTS:
+            raise ValueError(f"grid requires n <= {MAX_POINTS}")
 
     @cached_property
     def anchored_points(self) -> np.ndarray:

@@ -78,9 +78,6 @@ class ParamVector:
             off += fo
             yield w, b
 
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), list(self.shapes))
-
 
 def init_params(cfg: NetworkConfig) -> ParamVector:
     """Glorot-uniform weights, zero biases; bit-reproducible for a fixed seed."""

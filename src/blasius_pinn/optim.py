@@ -8,6 +8,7 @@ digits.  The collocation set is tiny, so everything is full batch.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,31 +129,29 @@ def _strong_wolfe(f_and_g, x, f0, g0, d):
         return False, 0.0, f0, g0, 0
     f_flat = f0 + 4.0 * np.finfo(float).eps * abs(f0)
 
+    evals = 0
+    best = (0.0, f0, g0)
+
     def phi(alpha):
+        # f, g and the slope along d at x + alpha d; counts the evaluation
+        # and keeps the best point seen
+        nonlocal evals, best
         f_a, g_a = f_and_g(x + alpha * d)
+        evals += 1
+        if f_a < best[1]:
+            best = (alpha, f_a, g_a)
         return f_a, g_a, _dot(g_a, d)
 
     def approx_wolfe(f_a, d_a):
         return f_a <= f_flat and WOLFE_C2 * dphi0 <= d_a <= (2.0 * WOLFE_C1 - 1.0) * dphi0
 
-    evals = 0
-    best = (0.0, f0, g0)
-
-    def note(alpha, f_a, g_a):
-        nonlocal best
-        if f_a < best[1]:
-            best = (alpha, f_a, g_a)
-
     def zoom(lo, f_lo, d_lo, hi, f_hi, d_hi):
-        nonlocal evals
         for _ in range(MAX_LINE_EVALS):
             alpha = _cubic_min(lo, f_lo, d_lo, hi, f_hi, d_hi)
             width = abs(hi - lo)
             if not np.isfinite(alpha) or alpha <= min(lo, hi) + 0.1 * width or alpha >= max(lo, hi) - 0.1 * width:
                 alpha = 0.5 * (lo + hi)
             f_a, g_a, d_a = phi(alpha)
-            evals += 1
-            note(alpha, f_a, g_a)
             if f_a > f0 + WOLFE_C1 * alpha * dphi0 or f_a >= f_lo:
                 if approx_wolfe(f_a, d_a):
                     return alpha, f_a, g_a
@@ -171,8 +170,6 @@ def _strong_wolfe(f_and_g, x, f0, g0, d):
     alpha = 1.0
     for i in range(MAX_LINE_EVALS):
         f_a, g_a, d_a = phi(alpha)
-        evals += 1
-        note(alpha, f_a, g_a)
         if f_a > f0 + WOLFE_C1 * alpha * dphi0 or (i > 0 and f_a >= f_prev):
             if approx_wolfe(f_a, d_a):
                 return True, alpha, f_a, g_a, evals
@@ -192,61 +189,37 @@ def _strong_wolfe(f_and_g, x, f0, g0, d):
     return False, best[0], best[1], best[2], evals
 
 
-class CurvaturePairs:
-    """The last `memory` curvature pairs (s, y) of L-BFGS, held in stacked
-    (memory x n) ring buffers, and the two-loop recursion over them."""
-
-    def __init__(self, memory: int, n: int):
-        self.s = np.empty((memory, n))
-        self.y = np.empty((memory, n))
-        self.rho = np.empty(memory)
-        self.count = 0                  # pairs held
-        self.head = 0                   # slot the next pair goes to
-        self._alpha = np.empty(memory)
-        self._tmp = np.empty(n)
-
-    def push(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
-        """Store a pair with s'y = sy > 0, replacing the oldest when full."""
-        m = self.rho.size
-        self.s[self.head] = s
-        self.y[self.head] = y
-        self.rho[self.head] = 1.0 / sy
-        self.head = (self.head + 1) % m
-        self.count = min(self.count + 1, m)
-
-    def direction(self, g: np.ndarray) -> np.ndarray:
-        """-H g by the two-loop recursion.  The seed H0 is the identity
-        before the first pair and gamma I afterwards, gamma = s'y / y'y of
-        the newest pair."""
-        m = self.rho.size
-        newest_first = [(self.head - 1 - j) % m for j in range(self.count)]
-        q = g.copy()
-        tmp = self._tmp
-        for i in newest_first:
-            a = self.rho[i] * _dot(self.s[i], q)
-            self._alpha[i] = a
-            np.multiply(self.y[i], a, out=tmp)
-            q -= tmp
-        if newest_first:
-            i = newest_first[0]
-            q *= _dot(self.s[i], self.y[i]) / _dot(self.y[i], self.y[i])
-        for i in reversed(newest_first):
-            b = self.rho[i] * _dot(self.y[i], q)
-            np.multiply(self.s[i], self._alpha[i] - b, out=tmp)
-            q += tmp
-        return np.negative(q, out=q)
+def _two_loop(pairs, g: np.ndarray) -> np.ndarray:
+    """-H g by the two-loop recursion over (s, y, 1/s'y) pairs, oldest
+    first.  The seed H0 is the identity before the first pair and gamma I
+    afterwards, gamma = s'y / y'y of the newest pair."""
+    q = g.copy()
+    tmp = np.empty_like(g)
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * _dot(s, q)
+        alphas.append(a)
+        np.multiply(y, a, out=tmp)
+        q -= tmp
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= _dot(s, y) / _dot(y, y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        np.multiply(s, a - rho * _dot(y, q), out=tmp)
+        q += tmp
+    return np.negative(q, out=q)
 
 
 def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
     """L-BFGS with two-loop recursion and strong Wolfe line search.
 
-    The inverse-Hessian seed is the identity before the first curvature pair
-    and gamma_k * I afterwards; pairs with s'y <= 0 are discarded.
+    The last LBFGS_MEMORY curvature pairs are kept; pairs with s'y <= 0 are
+    discarded.  Returns the best point visited, never worse than x0.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = f_and_grad(x)
     n_evals = 1
-    pairs = CurvaturePairs(LBFGS_MEMORY, x.size)
+    pairs = deque(maxlen=LBFGS_MEMORY)
     history = []
     best_x, best_f = x.copy(), f
     status = "max_iters"
@@ -255,7 +228,7 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
         if gnorm <= cfg.grad_tol:
             status = "converged"
             break
-        d = pairs.direction(g)
+        d = _two_loop(pairs, g)
         ok, alpha, f_new, g_new, evals = _strong_wolfe(f_and_grad, x, f, g, d)
         n_evals += evals
         if not ok:
@@ -269,15 +242,13 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
         y = g_new - g
         sy = _dot(s, y)
         if sy > 1e-10 * np.sqrt(_dot(s, s) * _dot(y, y)):
-            pairs.push(s, y, sy)
+            pairs.append((s, y, 1.0 / sy))
         x, f, g = x_new, f_new, g_new
         if f < best_f:
             best_f, best_x = f, x.copy()
         history.append((it + 1, f, float(np.max(np.abs(g))), alpha))
         if not np.isfinite(f):
             raise DivergenceError("non-finite loss in L-BFGS", phase="lbfgs", step=it + 1)
-    else:
-        status = "max_iters"
     return LbfgsResult(best_x, best_f, history, status, n_evals)
 
 
@@ -328,11 +299,9 @@ def train(
             break
         state = adam_step(state, g, cfg_adam)
 
+    # L-BFGS starts at Adam's best point and returns the best point it visits
     lbfgs = lbfgs_minimize(objective, best_x, cfg_lbfgs)
-    if lbfgs.fval < best_f:
-        best_f, best_x = lbfgs.fval, lbfgs.x
-
-    p_best = ParamVector(best_x, shapes)
+    p_best = ParamVector(lbfgs.x, shapes)
     final = loss_total(p_best, grid, pin=pin)
     report = TrainingReport(
         seed=cfg_net.seed,
@@ -341,7 +310,7 @@ def train(
         lbfgs_history=lbfgs.history,
         lbfgs_status=lbfgs.status,
         final=final,
-        best_loss=best_f,
+        best_loss=lbfgs.fval,
         wall_time_s=time.perf_counter() - t_start,
     )
     return p_best, report

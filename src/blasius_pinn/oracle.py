@@ -20,6 +20,7 @@ BLOWUP_LIMIT = 1e8          # |f| threshold for the negative-axis probe
 ETA_FLOOR = -10.0
 SHOOT_TOL = 1e-10           # secant stops once |f'(eta_max) - 1| is this small
 SHOOT_MAX_ITERS = 100       # secant iterations per pass
+MAX_STEPS = 10 ** 7         # RK4 steps one integration may be asked for
 
 
 @dataclass
@@ -40,14 +41,6 @@ class SolutionTable:
             fh.write("eta,f,fp,fpp,residual\n")
             for row in zip(self.eta, self.f, self.fp, self.fpp, self.residual):
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "SolutionTable":
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        data = np.atleast_2d(data)
-        if data.shape[1] != 5:
-            raise ValueError(f"{path}: expected 5 columns (eta,f,fp,fpp,residual)")
-        return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4])
 
 
 @dataclass
@@ -146,30 +139,6 @@ def shoot(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
     s_star = solve_at(h, s_coarse, s_coarse * (1.0 + 1e-4))
     table = rk4_shoot(s_star, h, eta_max)
     return ShootingResult(s_star, h, eta_max, iterations, table)
-
-
-def order_slope(s: float, hs=(4e-3, 2e-3, 1e-3), eta_max: float = 8.0) -> float:
-    """Empirical convergence order of the RK4 scheme, from errors in f'(eta_max).
-
-    At these step sizes the truncation error in f'(eta_max) is below the
-    float64 roundoff floor (~1e-14), so the recurrence is evaluated in
-    extended precision (80-bit long double) against a 5x-finer reference;
-    this isolates the discretization error the slope is about.
-    """
-    ld = np.longdouble
-
-    def run(h: float) -> float:
-        n = round(eta_max / h)
-        hh = ld(eta_max) / ld(n)
-        f, fp, fpp = ld(0), ld(0), ld(repr(s))
-        for _ in range(n):
-            f, fp, fpp = _rk4_step(f, fp, fpp, hh)
-        return fp
-
-    ref = run(min(hs) / 5.0)
-    errs = [abs(float(run(h) - ref)) for h in hs]
-    slope, _ = np.polyfit(np.log(list(hs)), np.log(errs), 1)
-    return float(slope)
 
 
 def backward_blowup(s: float, h: float) -> float | None:

@@ -20,8 +20,9 @@ from blasius_pinn.grad import loss_and_grad
 from blasius_pinn.loss import CollocationGrid, loss_total
 from blasius_pinn.network import NetworkConfig, ParamVector, forward_jet_batch, init_params
 from blasius_pinn.optim import AdamConfig, LbfgsConfig, train
-from blasius_pinn.oracle import backward_blowup, order_slope
+from blasius_pinn.oracle import backward_blowup
 from fd_oracle import fd_gradient_coords, grad_close
+from oracle_reference import order_slope
 
 GRID = CollocationGrid(0.0, 8.0, 100)
 PROBE_ETA0 = -4.5   # left end of the criterion-8b probe grid, short of the pole

@@ -9,9 +9,10 @@ import blasius_pinn
 from blasius_pinn.cli import _atomic, main
 from blasius_pinn.config import _KEY_TYPES, ConfigError, RunConfig, parse_config
 from blasius_pinn.loss import CollocationGrid
-from blasius_pinn.network import CHECKPOINT_MAGIC, NetworkConfig, load_checkpoint
+from blasius_pinn.network import (CHECKPOINT_MAGIC, NetworkConfig, init_params, load_checkpoint,
+                                  save_checkpoint)
 from blasius_pinn.optim import AdamConfig
-from blasius_pinn.oracle import SolutionTable
+from oracle_reference import read_solution_csv
 
 FAST_TRAIN = """
 network.depth = 1
@@ -103,7 +104,7 @@ class TestCliModes:
         assert out.startswith("ok mode=train loss_total=")
         net, p = load_checkpoint(tmp_path / "checkpoint.txt")
         assert net.depth == 1 and net.width == 8 and net.seed == 0
-        table = SolutionTable.from_csv(tmp_path / "solution.csv")
+        table = read_solution_csv(tmp_path / "solution.csv")
         assert len(table) == 20
         report = (tmp_path / "report.txt").read_text()
         assert "loss_total:" in report and "lbfgs_status:" in report
@@ -135,13 +136,11 @@ class TestCliModes:
         assert rc == 0
         out = capsys.readouterr().out
         assert "s_star=0.332" in out
-        table = SolutionTable.from_csv(tmp_path / "solution.csv")
+        table = read_solution_csv(tmp_path / "solution.csv")
         assert abs(table.fp[-1] - 1.0) <= 1e-9
 
     def test_compare_after_train(self, tmp_path, capsys, trained_default):
         # a fully trained checkpoint: compare needs f' to actually reach 0.99
-        from blasius_pinn.network import NetworkConfig, save_checkpoint
-
         p, _ = trained_default
         save_checkpoint(tmp_path / "checkpoint.txt", NetworkConfig(2, 100, 0), p)
         cfg_cmp = write_cfg(
@@ -187,7 +186,7 @@ class TestCliModes:
         )
         assert main(["export", "--config", cfg_exp, "--out", str(tmp_path)]) == 0
         assert "rows=33" in capsys.readouterr().out
-        table = SolutionTable.from_csv(tmp_path / "export.csv")
+        table = read_solution_csv(tmp_path / "export.csv")
         assert len(table) == 33
 
     def test_probe_negative_fast(self, tmp_path, capsys):
@@ -303,8 +302,21 @@ class TestCliErrors:
         ("solve-oracle", "paths.csv_out = a\0b"),
         ("train", "network.width = 1" + "0" * 400),
         ("train", "network.width = 1000000"),
+        # work bounds: grid points, and RK4 steps per integration
+        ("train", "grid.n = 10000000000000"),
+        ("solve-oracle", "oracle.h = 1e-300"),
+        ("solve-oracle", "oracle.eta_max = 1e300"),
+        ("solve-oracle", "oracle.blowup_h = 1e-300"),
+        ("probe-negative", "paths.checkpoint_in = ck.txt\nadam.max_steps = 0\n"
+                           "lbfgs.max_iters = 0\noracle.blowup_h = 1e-300"),
+        # output paths must be given
+        ("solve-oracle", "paths.csv_out ="),
+        ("train", "paths.checkpoint_out ="),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, mode, line):
+        # a valid checkpoint, so a mode that reads one gets past loading it
+        net = NetworkConfig(1, 1, 0)
+        save_checkpoint(tmp_path / "ck.txt", net, init_params(net))
         self.assert_exits_2(tmp_path, mode, write_cfg(tmp_path, line + "\n"))
 
     def test_seed_flag_out_of_range_exits_2(self, tmp_path, capsys):

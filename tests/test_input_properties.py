@@ -7,7 +7,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from blasius_pinn.config import _KEY_TYPES, ConfigError, RunConfig, parse_config
+from blasius_pinn.loss import MAX_POINTS
 from blasius_pinn.network import CHECKPOINT_MAGIC, NetworkConfig, ParamVector, load_checkpoint
+from blasius_pinn.oracle import ETA_FLOOR, MAX_STEPS
 
 numbers = st.one_of(
     st.integers(),
@@ -30,6 +32,10 @@ def test_config_text_parses_or_raises_config_error(lines):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+    # a config that parses asks for bounded work
+    assert cfg.grid.n <= MAX_POINTS and cfg.probe.n <= MAX_POINTS
+    assert cfg.oracle.eta_max / cfg.oracle.h <= MAX_STEPS
+    assert -ETA_FLOOR / cfg.oracle.blowup_h <= MAX_STEPS
 
 
 header = st.one_of(

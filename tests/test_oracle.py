@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from blasius_pinn.grad import DivergenceError
-from blasius_pinn.oracle import (
-    SolutionTable,
-    backward_blowup,
-    order_slope,
-    rk4_shoot,
-    shoot,
-)
+from blasius_pinn.oracle import SolutionTable, backward_blowup, rk4_shoot, shoot
+from oracle_reference import order_slope, read_solution_csv
 
 # wall curvature from the converged secant iteration at h=1e-4; frozen as the
 # reference value for every downstream check
@@ -112,7 +107,7 @@ def test_solution_table_csv_round_trip(tmp_path, shoot_result):
     sub = SolutionTable(t.eta[::1000], t.f[::1000], t.fp[::1000], t.fpp[::1000], t.residual[::1000])
     path = tmp_path / "table.csv"
     sub.to_csv(path)
-    back = SolutionTable.from_csv(path)
+    back = read_solution_csv(path)
     for a, b in zip((sub.eta, sub.f, sub.fp, sub.fpp, sub.residual),
                     (back.eta, back.f, back.fp, back.fpp, back.residual)):
         assert np.array_equal(a, b)
@@ -124,7 +119,7 @@ def test_from_csv_rejects_wrong_width(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
-        SolutionTable.from_csv(path)
+        read_solution_csv(path)
 
 
 def test_shoot_is_deterministic(shoot_result):
