@@ -48,6 +48,8 @@ class OracleSpec:
                 raise ValueError(f"{f.name} must be positive")
         if self.eta_max / self.h > MAX_STEPS:
             raise ValueError(f"eta_max / h must be at most {MAX_STEPS} RK4 steps")
+        if round(self.eta_max / self.h) < 1:
+            raise ValueError("eta_max / h must round to at least 1 RK4 step")
         if -ETA_FLOOR / self.blowup_h > MAX_STEPS:
             raise ValueError(f"{-ETA_FLOOR:g} / blowup_h must be at most {MAX_STEPS} RK4 steps")
 

@@ -18,12 +18,6 @@ from .network import ParamVector, backward_jet_batch, forward_jet_batch
 class DivergenceError(RuntimeError):
     """Raised when the loss becomes non-finite during evaluation/training."""
 
-    def __init__(self, message: str, eta: float | None = None, phase: str | None = None, step: int | None = None):
-        super().__init__(message)
-        self.eta = eta
-        self.phase = phase
-        self.step = step
-
 
 @dataclass
 class GradResult:
@@ -38,13 +32,11 @@ def loss_and_grad(p: ParamVector, grid: CollocationGrid, pin: float | None = Non
     r, breakdown, ybar = loss_terms(y, pin)
     if not np.all(np.isfinite(r)):
         bad = int(np.argmax(~np.isfinite(r)))
-        raise DivergenceError(
-            f"non-finite residual at eta={pts[bad]:.6g}", eta=float(pts[bad])
-        )
+        raise DivergenceError(f"non-finite residual at eta={pts[bad]:.6g}")
     if not np.isfinite(breakdown.total):
-        raise DivergenceError("non-finite loss", eta=float(pts[grid.n]))
+        raise DivergenceError("non-finite loss")
 
     grad = backward_jet_batch(p, cache, ybar)
     if not np.all(np.isfinite(grad)):
-        raise DivergenceError("non-finite gradient", eta=float(pts[grid.n]))
+        raise DivergenceError("non-finite gradient")
     return GradResult(breakdown, grad)

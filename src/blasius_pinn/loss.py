@@ -49,10 +49,6 @@ class CollocationGrid:
     def points(self) -> np.ndarray:
         return self.anchored_points[: self.n]
 
-    @property
-    def spacing(self) -> float:
-        return (self.eta_m - self.eta0) / (self.n - 1)
-
 
 @dataclass(frozen=True)
 class LossBreakdown:

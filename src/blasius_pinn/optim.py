@@ -25,7 +25,7 @@ DECAY_EVERY = 100            # full-batch Adam steps per learning-rate epoch
 LBFGS_MEMORY = 20            # curvature pairs kept
 WOLFE_C1 = 1e-4              # sufficient decrease
 WOLFE_C2 = 0.9               # curvature
-MAX_LINE_EVALS = 25          # trial steps in the bracketing phase, and again in zoom
+MAX_LINE_EVALS = 25          # trial steps per line search
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class AdamState:
 def adam_step(state: AdamState, grad: np.ndarray, cfg: AdamConfig) -> AdamState:
     """One Adam update with bias-corrected moment estimates."""
     if not np.all(np.isfinite(grad)):
-        raise DivergenceError("non-finite gradient passed to adam_step", step=state.t + 1)
+        raise DivergenceError("non-finite gradient passed to adam_step")
     t = state.t + 1
     m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
     v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
@@ -145,47 +145,34 @@ def _strong_wolfe(f_and_g, x, f0, g0, d):
     def approx_wolfe(f_a, d_a):
         return f_a <= f_flat and WOLFE_C2 * dphi0 <= d_a <= (2.0 * WOLFE_C1 - 1.0) * dphi0
 
-    def zoom(lo, f_lo, d_lo, hi, f_hi, d_hi):
-        for _ in range(MAX_LINE_EVALS):
+    # bracketing is zoom with an open upper end: while hi is infinite the
+    # trial step doubles, then the safeguarded cubic narrows [lo, hi]
+    lo, f_lo, d_lo = 0.0, f0, dphi0
+    hi, f_hi, d_hi = np.inf, None, None
+    for i in range(MAX_LINE_EVALS):
+        width = abs(hi - lo)
+        if hi == np.inf:
+            alpha = max(2.0 * lo, 1.0)
+        else:
             alpha = _cubic_min(lo, f_lo, d_lo, hi, f_hi, d_hi)
-            width = abs(hi - lo)
             if not np.isfinite(alpha) or alpha <= min(lo, hi) + 0.1 * width or alpha >= max(lo, hi) - 0.1 * width:
                 alpha = 0.5 * (lo + hi)
-            f_a, g_a, d_a = phi(alpha)
-            if f_a > f0 + WOLFE_C1 * alpha * dphi0 or f_a >= f_lo:
-                if approx_wolfe(f_a, d_a):
-                    return alpha, f_a, g_a
-                hi, f_hi, d_hi = alpha, f_a, d_a
-            else:
-                if abs(d_a) <= -WOLFE_C2 * dphi0:
-                    return alpha, f_a, g_a
-                if d_a * (hi - lo) >= 0.0:
-                    hi, f_hi, d_hi = lo, f_lo, d_lo
-                lo, f_lo, d_lo = alpha, f_a, d_a
-            if width < 1e-16:
-                break
-        return None, None, None
-
-    alpha_prev, f_prev, d_prev = 0.0, f0, dphi0
-    alpha = 1.0
-    for i in range(MAX_LINE_EVALS):
         f_a, g_a, d_a = phi(alpha)
-        if f_a > f0 + WOLFE_C1 * alpha * dphi0 or (i > 0 and f_a >= f_prev):
+        # "no better than the previous trial" skips the first trial, whose
+        # previous point is the start: f0 + c1 alpha phi'(0) can round to f0,
+        # and a unit step with f == f0 that still descends should extend
+        if f_a > f0 + WOLFE_C1 * alpha * dphi0 or (i > 0 and f_a >= f_lo):
             if approx_wolfe(f_a, d_a):
                 return True, alpha, f_a, g_a, evals
-            a, fa, ga = zoom(alpha_prev, f_prev, d_prev, alpha, f_a, d_a)
-            if a is not None:
-                return True, a, fa, ga, evals
+            hi, f_hi, d_hi = alpha, f_a, d_a
+        else:
+            if abs(d_a) <= -WOLFE_C2 * dphi0:
+                return True, alpha, f_a, g_a, evals
+            if d_a * (hi - lo) >= 0.0:
+                hi, f_hi, d_hi = lo, f_lo, d_lo
+            lo, f_lo, d_lo = alpha, f_a, d_a
+        if width < 1e-16:
             break
-        if abs(d_a) <= -WOLFE_C2 * dphi0:
-            return True, alpha, f_a, g_a, evals
-        if d_a >= 0.0:
-            a, fa, ga = zoom(alpha, f_a, d_a, alpha_prev, f_prev, d_prev)
-            if a is not None:
-                return True, a, fa, ga, evals
-            break
-        alpha_prev, f_prev, d_prev = alpha, f_a, d_a
-        alpha *= 2.0
     return False, best[0], best[1], best[2], evals
 
 
@@ -219,12 +206,12 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = f_and_grad(x)
     n_evals = 1
+    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
     pairs = deque(maxlen=LBFGS_MEMORY)
     history = []
     best_x, best_f = x.copy(), f
     status = "max_iters"
     for it in range(cfg.max_iters):
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
         if gnorm <= cfg.grad_tol:
             status = "converged"
             break
@@ -244,11 +231,12 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
         if sy > 1e-10 * np.sqrt(_dot(s, s) * _dot(y, y)):
             pairs.append((s, y, 1.0 / sy))
         x, f, g = x_new, f_new, g_new
+        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
         if f < best_f:
             best_f, best_x = f, x.copy()
-        history.append((it + 1, f, float(np.max(np.abs(g))), alpha))
+        history.append((it + 1, f, gnorm, alpha))
         if not np.isfinite(f):
-            raise DivergenceError("non-finite loss in L-BFGS", phase="lbfgs", step=it + 1)
+            raise DivergenceError("non-finite loss in L-BFGS")
     return LbfgsResult(best_x, best_f, history, status, n_evals)
 
 
@@ -286,12 +274,8 @@ def train(
     state = AdamState.fresh(p.values)
     adam_curve: list[float] = []
     best_x, best_f = state.x.copy(), np.inf
-    for step in range(cfg_adam.max_steps):
-        try:
-            f, g = objective(state.x)
-        except DivergenceError as err:
-            err.phase, err.step = "adam", step
-            raise
+    for _ in range(cfg_adam.max_steps):
+        f, g = objective(state.x)
         adam_curve.append(f)
         if f < best_f:
             best_f, best_x = f, state.x.copy()

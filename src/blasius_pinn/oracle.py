@@ -75,7 +75,7 @@ def _integrate_end(s: float, h: float, eta_max: float):
     for _ in range(steps):
         f, fp, fpp = _rk4_step(f, fp, fpp, h)
         if not math.isfinite(f) or abs(f) > OVERFLOW_LIMIT:
-            raise DivergenceError("RK4 overflow", eta=None)
+            raise DivergenceError("RK4 overflow")
     return f, fp, fpp
 
 
@@ -98,9 +98,7 @@ def rk4_shoot(s: float, h: float, eta_max: float) -> SolutionTable:
     for i in range(1, steps + 1):
         f, fp, fpp = _rk4_step(f, fp, fpp, step)
         if not math.isfinite(f) or abs(f) > OVERFLOW_LIMIT:
-            raise DivergenceError(
-                f"RK4 overflow at eta={eta[i - 1]:.6g}", eta=float(eta[i - 1])
-            )
+            raise DivergenceError(f"RK4 overflow at eta={eta[i - 1]:.6g}")
         eta[i] = i * step
         fs[i], fps[i], fpps[i] = f, fp, fpp
     # f''' at the nodes is -1/2 f f'' by the ODE itself, so the tabulated
@@ -113,8 +111,9 @@ def rk4_shoot(s: float, h: float, eta_max: float) -> SolutionTable:
 def shoot(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
     """Secant iteration on g(s) = f'(eta_max; s) - 1 from s in {0.1, 0.5}.
 
-    A coarse warm-up pass (10x step) cuts down the number of fine
-    integrations; iteration counts from both passes are reported.
+    A coarse warm-up pass (10x step, capped at 1e-2 and at eta_max so it
+    takes at least one step) cuts down the number of fine integrations;
+    iteration counts from both passes are reported.
     """
 
     iterations = 0
@@ -135,7 +134,7 @@ def shoot(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
                 return s1
         raise DivergenceError(f"shooting did not converge at h={step}")
 
-    s_coarse = solve_at(min(10.0 * h, 1e-2), 0.1, 0.5)
+    s_coarse = solve_at(min(10.0 * h, 1e-2, eta_max), 0.1, 0.5)
     s_star = solve_at(h, s_coarse, s_coarse * (1.0 + 1e-4))
     table = rk4_shoot(s_star, h, eta_max)
     return ShootingResult(s_star, h, eta_max, iterations, table)

@@ -306,6 +306,7 @@ class TestCliErrors:
         ("train", "grid.n = 10000000000000"),
         ("solve-oracle", "oracle.h = 1e-300"),
         ("solve-oracle", "oracle.eta_max = 1e300"),
+        ("solve-oracle", "oracle.eta_max = 1e-9"),
         ("solve-oracle", "oracle.blowup_h = 1e-300"),
         ("probe-negative", "paths.checkpoint_in = ck.txt\nadam.max_steps = 0\n"
                            "lbfgs.max_iters = 0\noracle.blowup_h = 1e-300"),

@@ -87,8 +87,3 @@ def test_divergence_error_on_nonfinite_params():
     p = ParamVector(vals, cfg.layer_shapes())
     with pytest.raises(DivergenceError):
         loss_and_grad(p, GRID)
-
-
-def test_divergence_error_carries_context():
-    err = DivergenceError("boom", eta=1.5, phase="adam", step=12)
-    assert err.eta == 1.5 and err.phase == "adam" and err.step == 12

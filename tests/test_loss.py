@@ -31,13 +31,12 @@ def jets_at(p, *etas):
 def test_grid_validation_and_spacing():
     g = CollocationGrid(0.0, 8.0, 100)
     assert g.points[0] == 0.0 and g.points[-1] == 8.0
-    assert np.allclose(np.diff(g.points), g.spacing)
+    assert np.allclose(np.diff(g.points), (g.eta_m - g.eta0) / (g.n - 1))
     # computed once per grid and shared by every evaluation, so read-only
     assert g.anchored_points is g.anchored_points
     assert np.array_equal(g.anchored_points, np.r_[np.linspace(0.0, 8.0, 100), 0.0, 8.0])
     with pytest.raises(ValueError):
         g.points[0] = 1.0
-    assert g.spacing == pytest.approx(8.0 / 99)
     with pytest.raises(ValueError):
         CollocationGrid(8.0, 0.0, 100)
     with pytest.raises(ValueError):

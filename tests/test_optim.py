@@ -6,9 +6,11 @@ import pytest
 from blasius_pinn.loss import CollocationGrid
 from blasius_pinn.network import NetworkConfig
 from blasius_pinn.optim import (
+    WOLFE_C1,
     AdamConfig,
     AdamState,
     LbfgsConfig,
+    _strong_wolfe,
     _two_loop,
     adam_step,
     lbfgs_minimize,
@@ -138,6 +140,25 @@ def test_two_loop_wrap_around_matches_list_reference():
         want = two_loop_reference(g, s_list, y_list)
         np.testing.assert_allclose(_two_loop(pairs, g), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     assert len(pairs) == memory
+
+
+def test_line_search_first_trial_not_compared_with_start():
+    # f is flat and the slope small, so f0 + c1 phi'(0) rounds to f0: the
+    # unit step is no better than the start, yet still descends, so the
+    # search must double it rather than narrow to [0, 1]
+    trials = []
+
+    def fg(x):
+        trials.append(x.copy())
+        return 1.0, 0.05 * x
+
+    x0 = np.array([2e-6])
+    g0 = 0.05 * x0
+    d = -g0
+    assert 1.0 + WOLFE_C1 * float(g0 @ d) == 1.0
+    ok, alpha, _, _, n_evals = _strong_wolfe(fg, x0, 1.0, g0, d)
+    assert ok and alpha == 2.0 and n_evals == 2
+    assert [t.tolist() for t in trials] == [(x0 + d).tolist(), (x0 + 2.0 * d).tolist()]
 
 
 def test_lbfgs_rosenbrock():

@@ -72,6 +72,12 @@ def test_convergence_order_is_four():
     assert slope == pytest.approx(4.0, abs=0.25)
 
 
+def test_shoot_on_a_domain_shorter_than_the_coarse_step():
+    # eta_max / (10 h) rounds to 0: the coarse pass must still take a step
+    res = shoot(h=1e-4, eta_max=4e-4)
+    assert abs(res.table.fp[-1] - 1.0) <= 1e-10
+
+
 def test_backward_integration_blows_up_near_minus_5_69():
     eta_4 = backward_blowup(S_STAR, h=1e-4)
     eta_5 = backward_blowup(S_STAR, h=1e-5)
