@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grad import DivergenceError
 from .loss import CollocationGrid, residual
 from .network import NetworkConfig, ParamVector, forward_jet_batch
 from .optim import AdamConfig, LbfgsConfig, TrainingReport, train
@@ -45,13 +46,17 @@ def tabulate(p: ParamVector, etas: np.ndarray) -> SolutionTable:
     """Evaluate the network on a grid as a SolutionTable (with residuals).
 
     The forward pass runs over blocks of TABULATE_BLOCK nodes, so its
-    working memory does not grow with the table.
+    working memory does not grow with the table.  Raises DivergenceError if
+    any of f, f', f'' or the residual is not finite.
     """
     etas = np.asarray(etas, dtype=float)
     y = np.empty((4, etas.size))
     for lo in range(0, etas.size, TABULATE_BLOCK):
         y[:, lo : lo + TABULATE_BLOCK] = forward_jet_batch(p, etas[lo : lo + TABULATE_BLOCK])
-    return SolutionTable(etas, y[0], y[1], y[2], residual(y))
+    res = residual(y)
+    if not (np.isfinite(y[:3]).all() and np.isfinite(res).all()):
+        raise DivergenceError("network output is not finite on the tabulation grid")
+    return SolutionTable(etas, y[0], y[1], y[2], res)
 
 
 def compare_tables(pred: SolutionTable, oracle: SolutionTable,

@@ -86,10 +86,11 @@ def _write_table(paths: PathsSpec, table: SolutionTable, title: str) -> None:
 
 def _cmd_train(cfg: RunConfig) -> int:
     p, report = train(cfg.network, cfg.adam, cfg.lbfgs, cfg.grid)
+    table = tabulate(p, cfg.grid.points)     # before any write: it may diverge
     _atomic(cfg.paths.checkpoint_out, lambda tmp: save_checkpoint(tmp, cfg.network, p))
     _atomic(cfg.paths.report_out, lambda tmp: _write_training_report(tmp, report))
     _atomic(cfg.paths.curve_out, lambda tmp: _write_loss_curve(tmp, report))
-    _write_table(cfg.paths, tabulate(p, cfg.grid.points), "PINN solution")
+    _write_table(cfg.paths, table, "PINN solution")
     print(f"ok mode=train loss_total={report.final.total:.6g} "
           f"lbfgs_status={report.lbfgs_status} seed={cfg.network.seed}")
     return 0
@@ -133,8 +134,9 @@ def _cmd_probe_negative(cfg: RunConfig) -> int:
     _, p_prev = _require_checkpoint(cfg)
     p_ext, sing = probe_negative(p_prev, cfg.network, cfg.adam, cfg.lbfgs, cfg.probe)
     blowup_eta = backward_blowup(sing.pin_value, cfg.oracle.blowup_h)
+    table = tabulate(p_ext, cfg.probe.points)   # before any write: it may diverge
     _atomic(cfg.paths.checkpoint_out, lambda tmp: save_checkpoint(tmp, cfg.network, p_ext))
-    _write_table(cfg.paths, tabulate(p_ext, cfg.probe.points), "Negative-axis extension")
+    _write_table(cfg.paths, table, "Negative-axis extension")
     pairs = [
         ("pin_value", sing.pin_value),
         ("max_abs_f_edge", sing.max_abs_f_edge),

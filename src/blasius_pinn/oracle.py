@@ -21,6 +21,12 @@ ETA_FLOOR = -10.0
 SHOOT_TOL = 1e-10           # secant stops once |f'(eta_max) - 1| is this small
 SHOOT_MAX_ITERS = 100       # secant iterations per pass
 MAX_STEPS = 10 ** 7         # RK4 steps one integration may be asked for
+# backward_blowup takes coarse steps while |f| stays at or below this.  Near
+# the pole f ~ 6/(eta - eta_s), so |f| <= 10 keeps the pole at least ~0.6
+# away: sixty or more coarse steps of at most 1e-2.
+BLOWUP_COARSE_F = 10.0
+CSV_BLOCK = 4096            # rows formatted per write in SolutionTable.to_csv
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 
 @dataclass
@@ -37,10 +43,14 @@ class SolutionTable:
         return self.eta.size
 
     def to_csv(self, path) -> None:
+        """17 significant digits per value, formatted CSV_BLOCK rows at a
+        time so the Python floats alive at once do not grow with the table."""
+        cols = (self.eta, self.f, self.fp, self.fpp, self.residual)
         with open(path, "w") as fh:
             fh.write("eta,f,fp,fpp,residual\n")
-            for row in zip(self.eta, self.f, self.fp, self.fpp, self.residual):
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            for lo in range(0, len(self), CSV_BLOCK):
+                rows = zip(*(c[lo : lo + CSV_BLOCK].tolist() for c in cols))
+                fh.write("".join(_CSV_ROW % row for row in rows))
 
 
 @dataclass
@@ -111,16 +121,21 @@ def rk4_shoot(s: float, h: float, eta_max: float) -> SolutionTable:
 def shoot(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
     """Secant iteration on g(s) = f'(eta_max; s) - 1 from s in {0.1, 0.5}.
 
-    A coarse warm-up pass (10x step, capped at 1e-2 and at eta_max so it
-    takes at least one step) cuts down the number of fine integrations;
-    iteration counts from both passes are reported.
+    The secant runs at a coarse step (10x h, capped at 1e-2 and at eta_max
+    so it takes at least one step), and its root is tabulated at step h.
+    When that table already has |f'(eta_max) - 1| <= SHOOT_TOL, as it does
+    at the default h, the fine grid is integrated once.  Otherwise a secant
+    at step h starts from the coarse root, and its root is tabulated.
+    Iteration counts from both passes are reported.
     """
-
+    if h <= 0.0 or eta_max <= 0.0:
+        raise ValueError("h and eta_max must be positive")
+    if round(eta_max / h) < 1:
+        raise ValueError("eta_max / h must round to at least 1 RK4 step")
     iterations = 0
 
-    def solve_at(step: float, s0: float, s1: float) -> float:
+    def solve_at(step: float, s0: float, g0: float, s1: float) -> float:
         nonlocal iterations
-        g0 = _integrate_end(s0, step, eta_max)[1] - 1.0
         g1 = _integrate_end(s1, step, eta_max)[1] - 1.0
         for _ in range(SHOOT_MAX_ITERS):
             iterations += 1
@@ -134,27 +149,41 @@ def shoot(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
                 return s1
         raise DivergenceError(f"shooting did not converge at h={step}")
 
-    s_coarse = solve_at(min(10.0 * h, 1e-2, eta_max), 0.1, 0.5)
-    s_star = solve_at(h, s_coarse, s_coarse * (1.0 + 1e-4))
+    coarse = min(10.0 * h, 1e-2, eta_max)
+    s_star = solve_at(coarse, 0.1, _integrate_end(0.1, coarse, eta_max)[1] - 1.0, 0.5)
     table = rk4_shoot(s_star, h, eta_max)
+    # the table's last node is _integrate_end(s_star, h, eta_max), bit for bit
+    g = float(table.fp[-1]) - 1.0
+    if abs(g) > SHOOT_TOL:
+        s_star = solve_at(h, s_star, g, s_star * (1.0 + 1e-4))
+        table = rk4_shoot(s_star, h, eta_max)
     return ShootingResult(s_star, h, eta_max, iterations, table)
 
 
 def backward_blowup(s: float, h: float) -> float | None:
     """Integrate from the wall toward negative eta until |f| exceeds 1e8.
 
-    Returns the last eta reached before blow-up, an estimate (from above)
-    of the singularity of the analytic continuation on the negative axis, or
-    None if |f| stays below the limit down to ETA_FLOOR.
+    Returns the last node -i h reached before blow-up, an estimate (from
+    above) of the singularity of the analytic continuation on the negative
+    axis, or None if |f| stays below the limit down to ETA_FLOOR.  Steps of
+    k h (k = round(1e-2 / h), between 1 and 100) cross the smooth stretch
+    while |f| <= BLOWUP_COARSE_F; steps of h go on from the last coarse node.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
+    k = max(1, min(100, round(1e-2 / h)))
     f, fp, fpp = 0.0, 0.0, s
-    eta = 0.0
-    while eta > ETA_FLOOR:
+    i = 0
+    while -(i + k) * h > ETA_FLOOR:
+        fn, fpn, fppn = _rk4_step(f, fp, fpp, -k * h)
+        if not abs(fn) <= BLOWUP_COARSE_F:
+            break
+        f, fp, fpp = fn, fpn, fppn
+        i += k
+    while -i * h > ETA_FLOOR:
         fn, fpn, fppn = _rk4_step(f, fp, fpp, -h)
         if not math.isfinite(fn) or abs(fn) > BLOWUP_LIMIT:
-            return eta
+            return -i * h
         f, fp, fpp = fn, fpn, fppn
-        eta -= h
+        i += 1
     return None

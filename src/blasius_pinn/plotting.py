@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 WIDTH, HEIGHT = 720, 480
 MARGIN = 60
 COLORS = ("#1f77b4", "#d62728", "#2ca02c")
@@ -33,19 +35,27 @@ def write_curves_svg(path, x, curves, title: str = "", xlabel: str = "eta") -> N
 
     `curves` is a list of (label, y-array); all share the x grid.
     """
-    x = list(map(float, x))
-    if len(x) == 0 or not curves:
+    x = np.asarray(x, dtype=float)
+    if x.size == 0 or not curves:
         raise ValueError("cannot plot an empty table")
-    ys = [v for _, c in curves for v in c]
-    x_lo, x_hi = min(x), max(x)
-    y_lo, y_hi = min(ys), max(ys)
+    ys = [np.asarray(c, dtype=float) for _, c in curves]
+    if not (np.isfinite(x).all() and all(np.isfinite(y).all() for y in ys)):
+        raise ValueError("cannot plot non-finite values")
+    x_lo, x_hi = float(np.min(x)), float(np.max(x))
+    # numpy scalars, not floats: _ticks rounds the y ticks with round(), and
+    # numpy's round can land one ulp away from float's
+    y_lo, y_hi = min(np.min(y) for y in ys), max(np.max(y) for y in ys)
     if x_hi == x_lo:
         raise ValueError("degenerate x range")
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+        raise ValueError("cannot plot a range wider than the largest float")
 
+    # also applied to whole arrays: elementwise numpy arithmetic in this
+    # order gives each pixel the same double as the scalar formula
     def sx(v):
         return MARGIN + (v - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * MARGIN)
 
@@ -77,9 +87,10 @@ def write_curves_svg(path, x, curves, title: str = "", xlabel: str = "eta") -> N
     parts.append(
         f'<text x="{WIDTH / 2}" y="{HEIGHT - 15}" text-anchor="middle" font-size="13">{xlabel}</text>'
     )
-    for k, (label, curve) in enumerate(curves):
+    px = sx(x).tolist()
+    for k, ((label, _), y) in enumerate(zip(curves, ys)):
         color = COLORS[k % len(COLORS)]
-        pts = " ".join(f"{sx(xv):.2f},{sy(float(yv)):.2f}" for xv, yv in zip(x, curve))
+        pts = " ".join("%.2f,%.2f" % pair for pair in zip(px, sy(y).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{WIDTH - MARGIN - 10}" y="{MARGIN + 18 * (k + 1)}" text-anchor="end" '

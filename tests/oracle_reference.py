@@ -1,9 +1,12 @@
 """Test-side helpers for the shooting oracle: the empirical convergence order
-of its RK4 scheme, and a reader for the solution CSV the CLI writes."""
+of its RK4 scheme, a fine-step-only blow-up search, and a reader for the
+solution CSV the CLI writes."""
+
+import math
 
 import numpy as np
 
-from blasius_pinn.oracle import SolutionTable, _rk4_step
+from blasius_pinn.oracle import BLOWUP_LIMIT, ETA_FLOOR, SolutionTable, _rk4_step
 
 
 def order_slope(s: float, hs=(4e-3, 2e-3, 1e-3), eta_max: float = 8.0) -> float:
@@ -28,6 +31,20 @@ def order_slope(s: float, hs=(4e-3, 2e-3, 1e-3), eta_max: float = 8.0) -> float:
     errs = [abs(float(run(h) - ref)) for h in hs]
     slope, _ = np.polyfit(np.log(list(hs)), np.log(errs), 1)
     return float(slope)
+
+
+def blowup_reference(s: float, h: float) -> float | None:
+    """backward_blowup with steps of h only: the last node -i h before |f|
+    exceeds BLOWUP_LIMIT, or None above ETA_FLOOR."""
+    f, fp, fpp = 0.0, 0.0, s
+    i = 0
+    while -i * h > ETA_FLOOR:
+        fn, fpn, fppn = _rk4_step(f, fp, fpp, -h)
+        if not math.isfinite(fn) or abs(fn) > BLOWUP_LIMIT:
+            return -i * h
+        f, fp, fpp = fn, fpn, fppn
+        i += 1
+    return None
 
 
 def read_solution_csv(path) -> SolutionTable:

@@ -9,8 +9,8 @@ import blasius_pinn
 from blasius_pinn.cli import _atomic, main
 from blasius_pinn.config import _KEY_TYPES, ConfigError, RunConfig, parse_config
 from blasius_pinn.loss import CollocationGrid
-from blasius_pinn.network import (CHECKPOINT_MAGIC, NetworkConfig, init_params, load_checkpoint,
-                                  save_checkpoint)
+from blasius_pinn.network import (CHECKPOINT_MAGIC, NetworkConfig, ParamVector, init_params,
+                                  load_checkpoint, save_checkpoint)
 from blasius_pinn.optim import AdamConfig
 from oracle_reference import read_solution_csv
 
@@ -337,6 +337,22 @@ class TestCliErrors:
     def test_bad_checkpoint_exits_2(self, tmp_path, checkpoint):
         (tmp_path / "ck.txt").write_text(checkpoint)
         self.assert_exits_2(tmp_path, "export", write_cfg(tmp_path, "paths.checkpoint_in = ck.txt\n"))
+
+    def test_overflowing_network_exits_3(self, tmp_path):
+        # finite parameters whose network output overflows: no table, no plot
+        net = NetworkConfig(1, 100, 0)
+        save_checkpoint(tmp_path / "ck.txt", net,
+                        ParamVector(np.full(net.param_count(), 1e307), net.layer_shapes()))
+        cfg = write_cfg(tmp_path, "paths.checkpoint_in = ck.txt\npaths.plot_out = sol.svg\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(blasius_pinn.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "blasius_pinn.cli", "export", "--config", cfg, "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "error: divergence:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["ck.txt", "run.cfg"]
 
     def test_unknown_mode_rejected_by_argparse(self, tmp_path, capsys):
         assert main(["swim", "--out", str(tmp_path)]) == 2
