@@ -7,7 +7,7 @@ jets.  A classical RK4 shooting solver serves as ground truth, and a
 negative-axis probe locates the singularity of the analytic continuation.
 """
 
-from .network import NetworkConfig, ParamVector, init_params, forward_jet_batch
+from .network import NetworkConfig, ParamVector, Workspace, init_params, forward_jet_batch
 from .loss import CollocationGrid, LossBreakdown, residual, loss_terms, loss_total
 from .grad import GradResult, loss_and_grad, DivergenceError
 from .optim import AdamConfig, AdamState, adam_step, LbfgsConfig, lbfgs_minimize, TrainingReport, train

@@ -27,7 +27,7 @@ from typing import get_type_hints
 from .loss import CollocationGrid
 from .network import NetworkConfig
 from .optim import AdamConfig, LbfgsConfig
-from .oracle import ETA_FLOOR, MAX_STEPS
+from .oracle import ETA_FLOOR, step_count
 
 MODES = ("train", "solve-oracle", "compare", "probe-negative", "export")
 
@@ -46,12 +46,9 @@ class OracleSpec:
         for f in fields(self):
             if not getattr(self, f.name) > 0.0:
                 raise ValueError(f"{f.name} must be positive")
-        if self.eta_max / self.h > MAX_STEPS:
-            raise ValueError(f"eta_max / h must be at most {MAX_STEPS} RK4 steps")
-        if round(self.eta_max / self.h) < 1:
+        if step_count(self.h, self.eta_max) < 1:
             raise ValueError("eta_max / h must round to at least 1 RK4 step")
-        if -ETA_FLOOR / self.blowup_h > MAX_STEPS:
-            raise ValueError(f"{-ETA_FLOOR:g} / blowup_h must be at most {MAX_STEPS} RK4 steps")
+        step_count(self.blowup_h, ETA_FLOOR)
 
 
 @dataclass(frozen=True)

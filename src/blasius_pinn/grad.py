@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import CollocationGrid, LossBreakdown, loss_terms
-from .network import ParamVector, backward_jet_batch, forward_jet_batch
+from .network import ParamVector, Workspace, backward_jet_batch, forward_jet_batch
 
 
 class DivergenceError(RuntimeError):
@@ -25,10 +25,19 @@ class GradResult:
     grad: np.ndarray
 
 
-def loss_and_grad(p: ParamVector, grid: CollocationGrid, pin: float | None = None) -> GradResult:
-    """Loss breakdown and d(total)/d(theta) in one forward + one reverse pass."""
+def loss_and_grad(p: ParamVector, grid: CollocationGrid, pin: float | None = None,
+                  *, ws: Workspace | None = None) -> GradResult:
+    """Loss breakdown and d(total)/d(theta) in one forward + one reverse pass.
+
+    `ws` is a Workspace for p's shapes and the grid's n + 2 points; a caller
+    that evaluates repeatedly, as optim.train does, passes the same one each
+    time, and without one a temporary workspace is used.  The gradient is a
+    fresh array, so it stays valid across later calls.
+    """
     pts = grid.anchored_points
-    y, cache = forward_jet_batch(p, pts, want_cache=True)
+    if ws is None:
+        ws = Workspace(p.shapes, pts.size)
+    y = forward_jet_batch(p, pts, ws=ws)
     r, breakdown, ybar = loss_terms(y, pin)
     if not np.all(np.isfinite(r)):
         bad = int(np.argmax(~np.isfinite(r)))
@@ -36,7 +45,7 @@ def loss_and_grad(p: ParamVector, grid: CollocationGrid, pin: float | None = Non
     if not np.isfinite(breakdown.total):
         raise DivergenceError("non-finite loss")
 
-    grad = backward_jet_batch(p, cache, ybar)
+    grad = backward_jet_batch(p, ws, ybar)
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("non-finite gradient")
     return GradResult(breakdown, grad)

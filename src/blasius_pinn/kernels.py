@@ -3,8 +3,10 @@ and adjoint.
 
 Layout convention: jets are stored channel-first as float64 arrays of shape
 (4, N): rows are (value, d1, d2, d3) with respect to eta.  Each kernel
-writes through a few scratch rows allocated per call rather than one
-temporary per subexpression, and forms powers by repeated products.
+writes its result into `out` and its intermediates into a few rows of
+`scratch` rather than one temporary per subexpression, and forms powers by
+repeated products.  A caller that reuses both buffers across calls
+allocates nothing; one that passes neither gets fresh ones.
 """
 
 import numpy as np
@@ -14,18 +16,28 @@ def backend_name() -> str:
     return "numpy"
 
 
-def tanh_jet_forward(z):
+def _rows(scratch, k: int, n: int):
+    """k scratch rows of length n from the front of `scratch` (fresh when None)."""
+    if scratch is None:
+        return np.empty((k, n))
+    return scratch.reshape(-1)[: k * n].reshape(k, n)
+
+
+def tanh_jet_forward(z, *, out=None, scratch=None):
     """Apply tanh through an order-3 jet, elementwise.
 
     With t = tanh(z[0]), s1 = 1 - t^2, s2 = -2 t s1 and
     s3 = -2 s1 (1 - 3 t^2), the output is
     (t, s1 u1, s2 u1^2 + s1 u2, s3 u1^3 + 3 s2 u1 u2 + s1 u3).
-    Returns (out, t); t is the value row of out, kept for the backward pass.
+    `out` (4, N) receives the result and `scratch` (at least 4N floats) the
+    intermediates.  Returns (out, t); t is the value row of out, kept for the
+    backward pass.
     """
     u1, u2, u3 = z[1], z[2], z[3]
-    out = np.empty_like(z)
+    if out is None:
+        out = np.empty_like(z)
     t = np.tanh(z[0], out=out[0])
-    s1, p, w, x = np.empty((4, z.shape[1]))
+    s1, p, w, x = _rows(scratch, 4, z.shape[1])
     np.multiply(t, t, out=w)
     np.subtract(1.0, w, out=s1)
     np.multiply(s1, u1, out=out[1])
@@ -50,7 +62,7 @@ def tanh_jet_forward(z):
     return out, t
 
 
-def tanh_jet_backward(t, z, abar):
+def tanh_jet_backward(t, z, abar, *, out=None, scratch=None):
     """Adjoint of tanh_jet_forward: map output adjoints to input adjoints.
 
     With p = s2 u1, c = s3 u1^2 + s2 u2 and s4 = s2 (12 t^2 - 8) (the third
@@ -59,11 +71,15 @@ def tanh_jet_backward(t, z, abar):
         zbar2 = a2 s1 + 3 a3 p
         zbar1 = a1 s1 + 2 a2 p + 3 a3 c
         zbar0 = a0 s1 + a1 p + a2 c + a3 (u1 (s4 u1^2 + 3 s3 u2) + s2 u3)
+    `out` receives zbar and `scratch` (at least 7N floats) the
+    intermediates.  An `out` of shape (2, N) receives zbar0 and zbar1 only:
+    the first layer's input jet (eta, 1, 0, 0) has no d2 or d3 channel to
+    take the other two.
     """
     u1, u2, u3 = z[1], z[2], z[3]
     a0, a1, a2, a3 = abar
-    zbar = np.empty_like(z)
-    s1, s2, s3, p, c, w, x = np.empty((7, z.shape[1]))
+    zbar = np.empty_like(z) if out is None else out
+    s1, s2, s3, p, c, w, x = _rows(scratch, 7, z.shape[1])
     np.multiply(t, t, out=w)                    # t^2
     np.subtract(1.0, w, out=s1)
     np.multiply(t, -2.0, out=s2)
@@ -88,10 +104,11 @@ def tanh_jet_backward(t, z, abar):
     w += x
     w *= a3                                     # a3 (u1 (s4 u1^2 + 3 s3 u2) + s2 u3)
     np.multiply(a3, 3.0, out=s3)                # 3 a3; s3 is no longer needed
-    np.multiply(a3, s1, out=zbar[3])
-    np.multiply(a2, s1, out=zbar[2])
-    np.multiply(s3, p, out=x)
-    zbar[2] += x
+    if len(zbar) == 4:
+        np.multiply(a3, s1, out=zbar[3])
+        np.multiply(a2, s1, out=zbar[2])
+        np.multiply(s3, p, out=x)
+        zbar[2] += x
     np.multiply(a1, s1, out=zbar[1])
     np.multiply(a2, p, out=x)
     x *= 2.0

@@ -90,49 +90,88 @@ def init_params(cfg: NetworkConfig) -> ParamVector:
     return ParamVector(np.concatenate(chunks), cfg.layer_shapes())
 
 
-def forward_jet_batch(p: ParamVector, etas: np.ndarray, want_cache: bool = False):
+def _jet(buf: np.ndarray, rows: int, n: int, cols: int) -> np.ndarray:
+    """(rows, n, cols) view of the front of a flat workspace buffer."""
+    return buf[: rows * n * cols].reshape(rows, n, cols)
+
+
+class Workspace:
+    """The jet buffers of forward_jet_batch and backward_jet_batch for one
+    network's layer shapes and at most `n` points per call.
+
+    It holds the input etas, every layer's pre-activation jets z, every
+    hidden layer's tanh jets, the kernels' scratch rows and the two adjoint
+    jets the reverse pass alternates between.  Buffers are flat and are
+    viewed at each call's point count, so a shorter batch (the last block
+    of a tabulation) uses the front of each.
+
+    The caller owns a workspace and reuses it: each call overwrites what the
+    previous call wrote, and no jet buffer is allocated after construction.
+    """
+
+    def __init__(self, shapes, n: int):
+        self.shapes = [tuple(s) for s in shapes]
+        self.n = n
+        hidden = max((fo for _, fo in self.shapes[:-1]), default=0)
+        self.eta = np.empty(n)
+        self.z = [np.empty(4 * n * fo) for _, fo in self.shapes]
+        self.act = [np.empty(4 * n * fo) for _, fo in self.shapes[:-1]]
+        self.scratch = np.empty(7 * n * hidden)
+        self.abar = np.empty(4 * n * hidden)
+        self.zbar = np.empty(4 * n * hidden)
+
+    def check(self, p: ParamVector, n: int) -> None:
+        if n > self.n or self.shapes != [tuple(s) for s in p.shapes]:
+            raise ValueError(f"a workspace for {self.shapes} at {self.n} points "
+                             f"cannot hold {p.shapes} at {n}")
+
+
+def forward_jet_batch(p: ParamVector, etas: np.ndarray, *, ws: Workspace | None = None):
     """Vectorized jet forward pass over many eta values.
 
-    Returns y of shape (4, n): rows are (f, f', f'', f''').  With
-    want_cache=True also returns the intermediates needed by the adjoint
-    pass in grad.loss_and_grad.
+    Returns y of shape (4, n): rows are (f, f', f'', f''').  Every
+    intermediate is written into `ws`, where backward_jet_batch reads it;
+    without one a temporary workspace is used.  The returned y is a view
+    into the workspace, valid only until the next call with the same `ws`.
     """
     etas = np.asarray(etas, dtype=np.float64).ravel()
     n = etas.size
+    if ws is None:
+        ws = Workspace(p.shapes, n)
+    ws.check(p, n)
+    eta = ws.eta[:n]
+    np.copyto(eta, etas)
     layers = list(p.layers())
-    cache = [] if want_cache else None
-    a = etas
+    a = eta
     for li, (w, b) in enumerate(layers):
         fo = w.shape[0]
+        z = _jet(ws.z[li], 4, n, fo)
         if li == 0:
             # the input jet is (eta, 1, 0, 0): the affine is an outer product
             # and channels d2, d3 stay zero
-            z = np.zeros((4, n, fo))
-            np.multiply.outer(etas, w[:, 0], out=z[0])
+            np.multiply.outer(eta, w[:, 0], out=z[0])
             z[1] = w[:, 0]
+            z[2:] = 0.0
         else:
             # all four channels share the weights
-            z = (a.reshape(4 * n, -1) @ w.T).reshape(4, n, fo)
+            np.matmul(a.reshape(4 * n, -1), w.T, out=z.reshape(4 * n, fo))
         # the bias enters the value channel only (it is a constant jet)
         z[0] += b
         if li < len(layers) - 1:
-            zf = z.reshape(4, n * fo)
-            outf, t = kernels.tanh_jet_forward(zf)
-            if want_cache:
-                cache.append((a, zf, t))
-            a = outf.reshape(4, n, fo)
+            a = _jet(ws.act[li], 4, n, fo)
+            kernels.tanh_jet_forward(z.reshape(4, n * fo), out=a.reshape(4, n * fo),
+                                     scratch=ws.scratch)
         else:
-            if want_cache:
-                cache.append((a, None, None))
             a = z
-    y = a[:, :, 0]
-    if want_cache:
-        return y, cache
-    return y
+    return a[:, :, 0]
 
 
-def backward_jet_batch(p: ParamVector, cache, ybar: np.ndarray) -> np.ndarray:
-    """Adjoint of forward_jet_batch: gradient of sum(ybar * y) w.r.t. params."""
+def backward_jet_batch(p: ParamVector, ws: Workspace, ybar: np.ndarray) -> np.ndarray:
+    """Adjoint of forward_jet_batch: gradient of sum(ybar * y) w.r.t. params.
+
+    `ws` is the workspace that a forward pass at p over ybar.shape[1] points
+    has just filled.  The gradient is a fresh array.
+    """
     n = ybar.shape[1]
     layers = list(p.layers())
     flat = np.empty(len(p))
@@ -141,21 +180,33 @@ def backward_jet_batch(p: ParamVector, cache, ybar: np.ndarray) -> np.ndarray:
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
         wbar, bbar = grads[li]
-        a_in, zf, t = cache[li]
-        fo = w.shape[0]
+        fo, fi = w.shape
         if li < len(layers) - 1:
-            zbar = kernels.tanh_jet_backward(t, zf, np.ascontiguousarray(zbar.reshape(4, n * fo)))
-            zbar = zbar.reshape(4, n, fo)
+            # layer 0's input jet has no d2 or d3 channel to take zbar2 and
+            # zbar3, so only zbar0 and zbar1 are formed there
+            rows = 2 if li == 0 else 4
+            t = ws.act[li][: n * fo]
+            z = _jet(ws.z[li], 4, n, fo).reshape(4, n * fo)
+            out = _jet(ws.zbar, rows, n, fo)
+            kernels.tanh_jet_backward(t, z, zbar.reshape(4, n * fo),
+                                      out=out.reshape(rows, n * fo), scratch=ws.scratch)
+            zbar = out
         zbar[0].sum(axis=0, out=bbar)
         if li == 0:
             # a_in is eta: of the input jet (eta, 1, 0, 0) only channels 0
             # and 1 meet the weights
-            np.add(a_in @ zbar[0], zbar[1].sum(axis=0), out=wbar[:, 0])
+            np.add(ws.eta[:n] @ zbar[0], zbar[1].sum(axis=0), out=wbar[:, 0])
         else:
+            a_in = _jet(ws.act[li - 1], 4, n, fi).reshape(4 * n, fi)
             zb2 = zbar.reshape(4 * n, fo)
-            np.matmul(zb2.T, a_in.reshape(4 * n, -1), out=wbar)
+            np.matmul(zb2.T, a_in, out=wbar)
+            abar = _jet(ws.abar, 4, n, fi)
             # with one output (the last layer) the product is an outer product
-            zbar = zbar * w[0] if fo == 1 else (zb2 @ w).reshape(4, n, -1)
+            if fo == 1:
+                np.multiply(zbar, w[0], out=abar)
+            else:
+                np.matmul(zb2, w, out=abar.reshape(4 * n, fi))
+            zbar = abar
     return flat
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .grad import DivergenceError, loss_and_grad
 from .loss import CollocationGrid, LossBreakdown, loss_total
-from .network import NetworkConfig, ParamVector, init_params
+from .network import NetworkConfig, ParamVector, Workspace, init_params
 
 ADAM_BETA1 = 0.9             # first-moment decay
 ADAM_BETA2 = 0.999           # second-moment decay
@@ -176,12 +176,16 @@ def _strong_wolfe(f_and_g, x, f0, g0, d):
     return False, best[0], best[1], best[2], evals
 
 
-def _two_loop(pairs, g: np.ndarray) -> np.ndarray:
+def _two_loop(pairs, g: np.ndarray, *, out=None, tmp=None) -> np.ndarray:
     """-H g by the two-loop recursion over (s, y, 1/s'y) pairs, oldest
     first.  The seed H0 is the identity before the first pair and gamma I
-    afterwards, gamma = s'y / y'y of the newest pair."""
-    q = g.copy()
-    tmp = np.empty_like(g)
+    afterwards, gamma = s'y / y'y of the newest pair.  The direction is
+    written into `out` and `tmp` is a scratch row; either is fresh when
+    not given."""
+    q = np.empty_like(g) if out is None else out
+    np.copyto(q, g)
+    if tmp is None:
+        tmp = np.empty_like(g)
     alphas = []
     for s, y, rho in reversed(pairs):
         a = rho * _dot(s, q)
@@ -208,6 +212,11 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
     n_evals = 1
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
     pairs = deque(maxlen=LBFGS_MEMORY)
+    # rows reused across iterations: x and x_new swap, d and tmp hold the
+    # two-loop's direction and scratch, and once the deque is full the pair
+    # it evicts lends its rows to the next (s, y)
+    x_new, d, tmp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    spare = None
     history = []
     best_x, best_f = x.copy(), f
     status = "max_iters"
@@ -215,25 +224,32 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
         if gnorm <= cfg.grad_tol:
             status = "converged"
             break
-        d = _two_loop(pairs, g)
+        _two_loop(pairs, g, out=d, tmp=tmp)
         ok, alpha, f_new, g_new, evals = _strong_wolfe(f_and_grad, x, f, g, d)
         n_evals += evals
         if not ok:
             # line search failed: keep the best point seen and stop
             if f_new < best_f:
-                best_f, best_x = f_new, x + alpha * d
+                best_f = f_new
+                np.add(x, np.multiply(d, alpha, out=best_x), out=best_x)
             status = "line_search_failed"
             break
-        x_new = x + alpha * d
-        s = x_new - x
-        y = g_new - g
+        np.add(x, np.multiply(d, alpha, out=x_new), out=x_new)
+        s, y = spare if spare is not None else (np.empty_like(x), np.empty_like(x))
+        np.subtract(x_new, x, out=s)
+        np.subtract(g_new, g, out=y)
         sy = _dot(s, y)
         if sy > 1e-10 * np.sqrt(_dot(s, s) * _dot(y, y)):
+            spare = pairs[0][:2] if len(pairs) == pairs.maxlen else None
             pairs.append((s, y, 1.0 / sy))
-        x, f, g = x_new, f_new, g_new
+        else:
+            spare = (s, y)
+        x, x_new = x_new, x
+        f, g = f_new, g_new
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
         if f < best_f:
-            best_f, best_x = f, x.copy()
+            best_f = f
+            np.copyto(best_x, x)
         history.append((it + 1, f, gnorm, alpha))
         if not np.isfinite(f):
             raise DivergenceError("non-finite loss in L-BFGS")
@@ -266,9 +282,10 @@ def train(
     t_start = time.perf_counter()
     p = init_params(cfg_net)
     shapes = p.shapes
+    ws = Workspace(shapes, grid.anchored_points.size)
 
     def objective(x: np.ndarray):
-        res = loss_and_grad(ParamVector(x, shapes), grid, pin=pin)
+        res = loss_and_grad(ParamVector(x, shapes), grid, pin=pin, ws=ws)
         return res.loss.total, res.grad
 
     state = AdamState.fresh(p.values)

@@ -78,9 +78,22 @@ def _rk4_step(f, fp, fpp, h):
     )
 
 
+def step_count(h: float, eta_max: float) -> int:
+    """round(|eta_max| / h), the RK4 steps of an integration from 0 to
+    eta_max.  Raises ValueError unless h is positive and |eta_max| / h is
+    finite and at most MAX_STEPS."""
+    if not h > 0.0:
+        raise ValueError("h must be positive")
+    ratio = abs(eta_max) / h
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"{abs(eta_max):g} / {h:g} = {ratio:g} RK4 steps; "
+                         f"at most {MAX_STEPS} are allowed")
+    return round(ratio)
+
+
 def _integrate_end(s: float, h: float, eta_max: float):
     """End state (f, f', f'') at eta_max, without tabulation."""
-    steps = round(eta_max / h)
+    steps = step_count(h, eta_max)
     f, fp, fpp = 0.0, 0.0, s
     for _ in range(steps):
         f, fp, fpp = _rk4_step(f, fp, fpp, h)
@@ -95,9 +108,7 @@ def rk4_shoot(s: float, h: float, eta_max: float) -> SolutionTable:
     eta_max may be negative; the run then marches toward the singularity of
     the analytic continuation and is expected to end in a divergence error.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    steps = round(abs(eta_max) / h)
+    steps = step_count(h, eta_max)
     step = h if eta_max > 0 else -h
     eta = np.empty(steps + 1)
     fs = np.empty(steps + 1)
@@ -128,9 +139,9 @@ def shoot(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
     at step h starts from the coarse root, and its root is tabulated.
     Iteration counts from both passes are reported.
     """
-    if h <= 0.0 or eta_max <= 0.0:
-        raise ValueError("h and eta_max must be positive")
-    if round(eta_max / h) < 1:
+    if not eta_max > 0.0:
+        raise ValueError("eta_max must be positive")
+    if step_count(h, eta_max) < 1:
         raise ValueError("eta_max / h must round to at least 1 RK4 step")
     iterations = 0
 
@@ -163,14 +174,15 @@ def shoot(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
 def backward_blowup(s: float, h: float) -> float | None:
     """Integrate from the wall toward negative eta until |f| exceeds 1e8.
 
-    Returns the last node -i h reached before blow-up, an estimate (from
-    above) of the singularity of the analytic continuation on the negative
-    axis, or None if |f| stays below the limit down to ETA_FLOOR.  Steps of
-    k h (k = round(1e-2 / h), between 1 and 100) cross the smooth stretch
-    while |f| <= BLOWUP_COARSE_F; steps of h go on from the last coarse node.
+    Returns the last node -i h reached before blow-up, an estimate of the
+    singularity of the analytic continuation on the negative axis, or None
+    if |f| stays below the limit down to ETA_FLOOR.  The node lies within
+    about one step h of the pole, on either side.  Steps of k h
+    (k = round(1e-2 / h), between 1 and 100) cross the smooth stretch while
+    |f| <= BLOWUP_COARSE_F; steps of h go on from the last coarse node.
+    Raises ValueError unless -ETA_FLOOR / h is at most MAX_STEPS.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    step_count(h, ETA_FLOOR)
     k = max(1, min(100, round(1e-2 / h)))
     f, fp, fpp = 0.0, 0.0, s
     i = 0

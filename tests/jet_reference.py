@@ -1,6 +1,9 @@
-"""Scalar reference for the batched jet path: truncated Taylor arithmetic of
-order 3 in the coordinate eta, and the network evaluated in it one point and
-one neuron at a time.
+"""References for the batched jet path.
+
+Scalar: truncated Taylor arithmetic of order 3 in the coordinate eta, and
+the network evaluated in it one point and one neuron at a time.  Batched:
+the allocating kernels and network passes, as a byte reference for the
+workspace path (at the end of this file).
 
 A Jet3 carries a value together with its first three derivatives with
 respect to eta.  The tests check `kernels` and `network.forward_jet_batch`
@@ -11,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -95,3 +100,146 @@ def forward_jet(p, eta: float) -> Jet3:
             nxt.append(z)
         acts = nxt
     return acts[0]
+
+
+# --- Byte reference for the batched path --------------------------------
+# The allocating kernels and network passes that the workspace path
+# replaced: every temporary is a fresh array.  The workspace path performs
+# the same float operations in the same order, so the tests compare it with
+# these for equal bytes, not for closeness.
+
+def tanh_jet_forward_alloc(z):
+    u1, u2, u3 = z[1], z[2], z[3]
+    out = np.empty_like(z)
+    t = np.tanh(z[0], out=out[0])
+    s1, p, w, x = np.empty((4, z.shape[1]))
+    np.multiply(t, t, out=w)
+    np.subtract(1.0, w, out=s1)
+    np.multiply(s1, u1, out=out[1])
+    np.multiply(t, -2.0, out=p)
+    p *= s1
+    p *= u1
+    np.multiply(p, u1, out=out[2])
+    np.multiply(s1, u2, out=x)
+    out[2] += x
+    w *= -3.0
+    w += 1.0
+    w *= s1
+    w *= -2.0
+    np.multiply(u1, u1, out=x)
+    x *= u1
+    w *= x
+    np.multiply(p, u2, out=x)
+    x *= 3.0
+    w += x
+    np.multiply(s1, u3, out=out[3])
+    out[3] += w
+    return out, t
+
+
+def tanh_jet_backward_alloc(t, z, abar):
+    u1, u2, u3 = z[1], z[2], z[3]
+    a0, a1, a2, a3 = abar
+    zbar = np.empty_like(z)
+    s1, s2, s3, p, c, w, x = np.empty((7, z.shape[1]))
+    np.multiply(t, t, out=w)
+    np.subtract(1.0, w, out=s1)
+    np.multiply(t, -2.0, out=s2)
+    s2 *= s1
+    np.multiply(w, 6.0, out=s3)
+    s3 -= 2.0
+    s3 *= s1
+    w *= 12.0
+    w -= 8.0
+    w *= s2
+    np.multiply(s2, u1, out=p)
+    np.multiply(u1, u1, out=x)
+    w *= x
+    np.multiply(s3, x, out=c)
+    np.multiply(s2, u2, out=x)
+    c += x
+    np.multiply(s3, u2, out=x)
+    x *= 3.0
+    w += x
+    w *= u1
+    np.multiply(s2, u3, out=x)
+    w += x
+    w *= a3
+    np.multiply(a3, 3.0, out=s3)
+    np.multiply(a3, s1, out=zbar[3])
+    np.multiply(a2, s1, out=zbar[2])
+    np.multiply(s3, p, out=x)
+    zbar[2] += x
+    np.multiply(a1, s1, out=zbar[1])
+    np.multiply(a2, p, out=x)
+    x *= 2.0
+    zbar[1] += x
+    np.multiply(s3, c, out=x)
+    zbar[1] += x
+    np.multiply(a0, s1, out=zbar[0])
+    np.multiply(a1, p, out=x)
+    zbar[0] += x
+    np.multiply(a2, c, out=x)
+    zbar[0] += x
+    zbar[0] += w
+    return zbar
+
+
+def forward_jet_batch_alloc(p, etas):
+    """(y, cache): the output jets and each layer's (a_in, z, t)."""
+    etas = np.asarray(etas, dtype=np.float64).ravel()
+    n = etas.size
+    layers = list(p.layers())
+    cache = []
+    a = etas
+    for li, (w, b) in enumerate(layers):
+        fo = w.shape[0]
+        if li == 0:
+            z = np.zeros((4, n, fo))
+            np.multiply.outer(etas, w[:, 0], out=z[0])
+            z[1] = w[:, 0]
+        else:
+            z = (a.reshape(4 * n, -1) @ w.T).reshape(4, n, fo)
+        z[0] += b
+        if li < len(layers) - 1:
+            zf = z.reshape(4, n * fo)
+            outf, t = tanh_jet_forward_alloc(zf)
+            cache.append((a, zf, t))
+            a = outf.reshape(4, n, fo)
+        else:
+            cache.append((a, None, None))
+            a = z
+    return a[:, :, 0], cache
+
+
+def backward_jet_batch_alloc(p, cache, ybar):
+    n = ybar.shape[1]
+    layers = list(p.layers())
+    flat = np.empty(len(p))
+    grads = list(type(p)(flat, p.shapes).layers())
+    zbar = ybar.reshape(4, n, 1)
+    for li in range(len(layers) - 1, -1, -1):
+        w, _ = layers[li]
+        wbar, bbar = grads[li]
+        a_in, zf, t = cache[li]
+        fo = w.shape[0]
+        if li < len(layers) - 1:
+            zbar = tanh_jet_backward_alloc(t, zf, np.ascontiguousarray(zbar.reshape(4, n * fo)))
+            zbar = zbar.reshape(4, n, fo)
+        zbar[0].sum(axis=0, out=bbar)
+        if li == 0:
+            np.add(a_in @ zbar[0], zbar[1].sum(axis=0), out=wbar[:, 0])
+        else:
+            zb2 = zbar.reshape(4 * n, fo)
+            np.matmul(zb2.T, a_in.reshape(4 * n, -1), out=wbar)
+            zbar = zbar * w[0] if fo == 1 else (zb2 @ w).reshape(4, n, -1)
+    return flat
+
+
+def loss_and_grad_alloc(p, grid, pin=None):
+    """(LossBreakdown, gradient) through the allocating passes."""
+    from blasius_pinn.loss import loss_terms
+
+    y, cache = forward_jet_batch_alloc(p, grid.anchored_points)
+    _, breakdown, ybar = loss_terms(y, pin)
+    return breakdown, backward_jet_batch_alloc(p, cache, ybar)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import exact_growth_onset, exact_profile
 
+import blasius_pinn
 from blasius_pinn.analysis import (
     TABULATE_BLOCK,
     compare,
@@ -59,6 +64,32 @@ def test_tabulate_blocks_match_one_batch():
     for got, want in ((t.f, y[0]), (t.fp, y[1]), (t.fpp, y[2]),
                       (t.residual, y[3] + 0.5 * y[0] * y[2])):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+TABULATE_SCRIPT = """
+import hashlib
+import numpy as np
+from blasius_pinn.analysis import tabulate
+from blasius_pinn.network import NetworkConfig, ParamVector, init_params
+
+p = init_params(NetworkConfig(2, 100, 0))
+p = ParamVector(p.values + np.random.default_rng(1).normal(scale=0.1, size=len(p)), p.shapes)
+t = tabulate(p, np.arange(80001) * 1e-4)
+print(hashlib.sha256(np.stack([t.f, t.fp, t.fpp, t.residual]).tobytes()).hexdigest())
+"""
+
+
+def test_tabulate_bytes_do_not_depend_on_blas_threads():
+    # with 4096-node blocks the residual at the last two nodes differed in
+    # its last bit between one and two OpenBLAS threads
+    src = os.path.dirname(os.path.dirname(blasius_pinn.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", TABULATE_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=300, check=True)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_compare_tables_rejects_mismatched_grids(shoot_result):

@@ -350,8 +350,10 @@ class TestCliErrors:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 3, proc.stderr
-        assert "error: divergence:" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        # one error line: no numpy RuntimeWarning from the overflow before it
+        assert proc.stderr.startswith("error: divergence:")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         assert sorted(f.name for f in tmp_path.iterdir()) == ["ck.txt", "run.cfg"]
 
     def test_unknown_mode_rejected_by_argparse(self, tmp_path, capsys):

@@ -88,6 +88,33 @@ def test_shoot_rejects_bad_input(h, eta_max):
         shoot(h=h, eta_max=eta_max)
 
 
+@pytest.mark.parametrize("h,eta_max", [(1e-300, 1e300), (1e-4, math.inf), (1e-4, math.nan),
+                                       (1e-7, 8.0), (math.nan, 8.0)])
+@pytest.mark.parametrize("run", [
+    lambda h, eta_max: shoot(h=h, eta_max=eta_max),
+    lambda h, eta_max: rk4_shoot(0.33, h, eta_max),
+    lambda h, eta_max: rk4_shoot(0.33, h, -eta_max),
+    lambda h, eta_max: oracle._integrate_end(0.33, h, eta_max),
+], ids=["shoot", "rk4_shoot", "rk4_shoot_negative", "integrate_end"])
+def test_step_count_beyond_max_steps_is_a_value_error(run, h, eta_max):
+    # |eta_max| / h infinite, NaN or above MAX_STEPS (8 / 1e-7 = 8e7); each
+    # raised OverflowError or tried to allocate or run that many steps
+    with pytest.raises(ValueError):
+        run(h, eta_max)
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-7, 0.0, math.nan])
+def test_backward_blowup_rejects_steps_beyond_max_steps(h):
+    # 10 / h above MAX_STEPS: the coarse loop would run for about 1e299 steps
+    with pytest.raises(ValueError):
+        backward_blowup(0.33, h)
+
+
+def test_step_count_at_the_bound():
+    assert oracle.step_count(1e-6, 10.0) == oracle.MAX_STEPS
+    assert oracle.step_count(1e-4, -8.0) == 80_000
+
+
 def record_integrations(monkeypatch) -> list:
     """(s, step) of every _integrate_end call shoot makes from now on."""
     calls = []
