@@ -15,6 +15,8 @@ from .oracle import SolutionTable
 
 TABULATE_BLOCK = 256      # nodes per forward pass in tabulate
 ONSET_STEP = 0.01         # eta spacing of the growth_onset lattices
+EDGE_STEP = 0.005         # eta spacing of probe_negative's edge lattice
+EDGE_END = -5.5           # the edge lattice covers [eta0, max(eta0, EDGE_END)]
 
 
 @dataclass
@@ -49,17 +51,15 @@ def tabulate(p: ParamVector, etas: np.ndarray) -> SolutionTable:
     workspace, so its working memory does not grow with the table.  With
     OpenBLAS 0.3.31, blocks of 256 nodes give the same bytes at one and at
     two threads; blocks of 4096 did not.  Raises DivergenceError if any of
-    f, f', f'' or the residual is not finite; numpy's overflow warnings on
-    the way there are silenced, since that error reports them.
+    f, f', f'' or the residual is not finite.
     """
     etas = np.asarray(etas, dtype=float)
     y = np.empty((4, etas.size))
     ws = Workspace(p.shapes, min(etas.size, TABULATE_BLOCK))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, etas.size, TABULATE_BLOCK):
-            y[:, lo : lo + TABULATE_BLOCK] = forward_jet_batch(
-                p, etas[lo : lo + TABULATE_BLOCK], ws=ws)
-        res = residual(y)
+    for lo in range(0, etas.size, TABULATE_BLOCK):
+        y[:, lo : lo + TABULATE_BLOCK] = forward_jet_batch(
+            p, etas[lo : lo + TABULATE_BLOCK], ws=ws)
+    res = residual(y)
     if not (np.isfinite(y[:3]).all() and np.isfinite(res).all()):
         raise DivergenceError("network output is not finite on the tabulation grid")
     return SolutionTable(etas, y[0], y[1], y[2], res)
@@ -141,6 +141,16 @@ def growth_onset(p: ParamVector, eta_lo: float, eta_hi: float) -> tuple[float | 
     return onset_from_profile(scan, y[3], y_ref[3])
 
 
+def probe_points(grid: CollocationGrid) -> float:
+    """At least the most points probe_negative forwards in one pass on
+    `grid`: the grid with its anchors, the edge lattice, or one of
+    growth_onset's lattices.  A float, so a span past the float range
+    gives inf instead of raising."""
+    edge = (max(grid.eta0, EDGE_END) - grid.eta0) / EDGE_STEP
+    onset = max(grid.eta_m - grid.eta0, 5.0) / ONSET_STEP
+    return max(grid.n + 2.0, edge + 2.0, onset + 2.0)
+
+
 def probe_negative(
     p_prev: ParamVector,
     cfg_net: NetworkConfig,
@@ -160,7 +170,7 @@ def probe_negative(
     c = float(wall[2, 0])
     p_ext, report = train(cfg_net, cfg_adam, cfg_lbfgs, grid, pin=c)
 
-    edge = np.arange(grid.eta0, max(grid.eta0, -5.5) + 1e-12, 0.005)
+    edge = np.arange(grid.eta0, max(grid.eta0, EDGE_END) + 1e-12, EDGE_STEP)
     y_edge = forward_jet_batch(p_ext, edge)
     onset, med = growth_onset(p_ext, grid.eta0, grid.eta_m)
     sing = SingularityReport(

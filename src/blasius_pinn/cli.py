@@ -16,10 +16,12 @@ import sys
 import tempfile
 from dataclasses import asdict, replace
 
-from .analysis import compare, probe_negative, tabulate
+import numpy as np
+
+from .analysis import TABULATE_BLOCK, compare, probe_negative, tabulate
 from .config import MODES, ConfigError, PathsSpec, RunConfig, load_config, replace_section
 from .grad import DivergenceError
-from .network import load_checkpoint, save_checkpoint
+from .network import check_workspace, load_checkpoint, save_checkpoint
 from .optim import TrainingReport, train
 from .oracle import SolutionTable, backward_blowup, shoot
 from .plotting import plot_solution_table
@@ -108,9 +110,12 @@ def _require_checkpoint(cfg: RunConfig):
     if not cfg.paths.checkpoint_in:
         raise ConfigError("paths.checkpoint_in is required for this mode")
     try:
-        return load_checkpoint(cfg.paths.checkpoint_in)
+        net, p = load_checkpoint(cfg.paths.checkpoint_in)
+        # tabulate's block is the largest pass a loaded network makes
+        check_workspace(net, TABULATE_BLOCK)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    return net, p
 
 
 def _write_kv_csv(path, pairs) -> None:
@@ -192,7 +197,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = replace_section(cfg, "network", seed=args.seed)
         cfg = replace(cfg, mode=args.mode, paths=cfg.paths.under(args.out))
-        return _COMMANDS[cfg.mode](cfg)
+        # an overflow ends in DivergenceError, which reports it: numpy's
+        # warnings on the way there would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[cfg.mode](cfg)
     except ConfigError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return 2

@@ -24,10 +24,11 @@ from collections import defaultdict
 from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
 
+from .analysis import probe_points
 from .loss import CollocationGrid
-from .network import NetworkConfig
+from .network import NetworkConfig, check_workspace
 from .optim import AdamConfig, LbfgsConfig
-from .oracle import ETA_FLOOR, step_count
+from .oracle import ETA_FLOOR, coarse_step, step_count
 
 MODES = ("train", "solve-oracle", "compare", "probe-negative", "export")
 
@@ -48,6 +49,7 @@ class OracleSpec:
                 raise ValueError(f"{f.name} must be positive")
         if step_count(self.h, self.eta_max) < 1:
             raise ValueError("eta_max / h must round to at least 1 RK4 step")
+        step_count(coarse_step(self.h, self.eta_max), self.eta_max)
         step_count(self.blowup_h, ETA_FLOOR)
 
 
@@ -88,6 +90,8 @@ class RunConfig:
     def __post_init__(self):
         if self.mode and self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}")
+        # the largest single forward pass of train or probe-negative
+        check_workspace(self.network, max(self.grid.n + 2, probe_points(self.probe)))
 
 
 def replace_section(cfg: RunConfig, name: str, **values) -> RunConfig:
@@ -141,13 +145,18 @@ def parse_config(text: str) -> RunConfig:
         section, _, attr = key.rpartition(".")
         values[section][attr] = val
 
+    # every section is built before the RunConfig that checks them together,
+    # so the result does not depend on the order of the lines
+    top, defaults = values.pop("", {}), RunConfig()
+    for section, kw in values.items():
+        try:
+            top[section] = replace(getattr(defaults, section), **kw)
+        except ValueError as err:
+            raise ConfigError(f"{section}: {err}") from err
     try:
-        cfg = RunConfig(**values.pop("", {}))
+        return RunConfig(**top)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    for section, kw in values.items():
-        cfg = replace_section(cfg, section, **kw)
-    return cfg
 
 
 def load_config(path) -> RunConfig:

@@ -16,6 +16,7 @@ from . import kernels
 
 CHECKPOINT_MAGIC = "blasius-pinn-checkpoint v1"
 MAX_PARAMS = 10 ** 7       # larger networks are rejected before any allocation
+MAX_WORKSPACE_BYTES = 2 * 2 ** 30   # jet workspace of one pass, checked where input is read
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,26 @@ class Workspace:
         if n > self.n or self.shapes != [tuple(s) for s in p.shapes]:
             raise ValueError(f"a workspace for {self.shapes} at {self.n} points "
                              f"cannot hold {p.shapes} at {n}")
+
+
+def workspace_bytes(cfg: NetworkConfig, n: float) -> float:
+    """Bytes of a Workspace for cfg's layer shapes at n points, in closed
+    form.  Per point it holds the input eta, four channels of every layer's
+    z and of every hidden layer's tanh jet, and 7 scratch rows plus two
+    4-channel adjoints of the widest hidden layer."""
+    dw = cfg.depth * cfg.width
+    return 8 * n * (1 + 4 * (dw + 1) + 4 * dw + 15 * cfg.width)
+
+
+def check_workspace(cfg: NetworkConfig, n: float) -> None:
+    """Raise ValueError if a workspace for n points of cfg's network would
+    take more than MAX_WORKSPACE_BYTES.  n may be a float bound, inf
+    included."""
+    need = workspace_bytes(cfg, n)
+    if not need <= MAX_WORKSPACE_BYTES:
+        raise ValueError(f"{n:.0f} points of a depth-{cfg.depth}, width-{cfg.width} network "
+                         f"need a {need / 2 ** 30:.3g} GiB jet workspace; at most "
+                         f"{MAX_WORKSPACE_BYTES / 2 ** 30:g} GiB is allowed")
 
 
 def forward_jet_batch(p: ParamVector, etas: np.ndarray, *, ws: Workspace | None = None):

@@ -176,29 +176,22 @@ def _strong_wolfe(f_and_g, x, f0, g0, d):
     return False, best[0], best[1], best[2], evals
 
 
-def _two_loop(pairs, g: np.ndarray, *, out=None, tmp=None) -> np.ndarray:
+def _two_loop(pairs, g: np.ndarray) -> np.ndarray:
     """-H g by the two-loop recursion over (s, y, 1/s'y) pairs, oldest
     first.  The seed H0 is the identity before the first pair and gamma I
-    afterwards, gamma = s'y / y'y of the newest pair.  The direction is
-    written into `out` and `tmp` is a scratch row; either is fresh when
-    not given."""
-    q = np.empty_like(g) if out is None else out
-    np.copyto(q, g)
-    if tmp is None:
-        tmp = np.empty_like(g)
+    afterwards, gamma = s'y / y'y of the newest pair."""
+    q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
         a = rho * _dot(s, q)
         alphas.append(a)
-        np.multiply(y, a, out=tmp)
-        q -= tmp
+        q -= y * a
     if pairs:
         s, y, _ = pairs[-1]
         q *= _dot(s, y) / _dot(y, y)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        np.multiply(s, a - rho * _dot(y, q), out=tmp)
-        q += tmp
-    return np.negative(q, out=q)
+        q += s * (a - rho * _dot(y, q))
+    return -q
 
 
 def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
@@ -212,44 +205,33 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
     n_evals = 1
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
     pairs = deque(maxlen=LBFGS_MEMORY)
-    # rows reused across iterations: x and x_new swap, d and tmp hold the
-    # two-loop's direction and scratch, and once the deque is full the pair
-    # it evicts lends its rows to the next (s, y)
-    x_new, d, tmp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    spare = None
     history = []
-    best_x, best_f = x.copy(), f
+    # nothing writes into an iterate, so the best point is held by reference
+    best_x, best_f = x, f
     status = "max_iters"
     for it in range(cfg.max_iters):
         if gnorm <= cfg.grad_tol:
             status = "converged"
             break
-        _two_loop(pairs, g, out=d, tmp=tmp)
+        d = _two_loop(pairs, g)
         ok, alpha, f_new, g_new, evals = _strong_wolfe(f_and_grad, x, f, g, d)
         n_evals += evals
         if not ok:
             # line search failed: keep the best point seen and stop
             if f_new < best_f:
-                best_f = f_new
-                np.add(x, np.multiply(d, alpha, out=best_x), out=best_x)
+                best_f, best_x = f_new, x + alpha * d
             status = "line_search_failed"
             break
-        np.add(x, np.multiply(d, alpha, out=x_new), out=x_new)
-        s, y = spare if spare is not None else (np.empty_like(x), np.empty_like(x))
-        np.subtract(x_new, x, out=s)
-        np.subtract(g_new, g, out=y)
+        x_new = x + alpha * d
+        s = x_new - x
+        y = g_new - g
         sy = _dot(s, y)
         if sy > 1e-10 * np.sqrt(_dot(s, s) * _dot(y, y)):
-            spare = pairs[0][:2] if len(pairs) == pairs.maxlen else None
             pairs.append((s, y, 1.0 / sy))
-        else:
-            spare = (s, y)
-        x, x_new = x_new, x
-        f, g = f_new, g_new
+        x, f, g = x_new, f_new, g_new
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
         if f < best_f:
-            best_f = f
-            np.copyto(best_x, x)
+            best_f, best_x = f, x
         history.append((it + 1, f, gnorm, alpha))
         if not np.isfinite(f):
             raise DivergenceError("non-finite loss in L-BFGS")
@@ -290,12 +272,13 @@ def train(
 
     state = AdamState.fresh(p.values)
     adam_curve: list[float] = []
-    best_x, best_f = state.x.copy(), np.inf
+    # adam_step returns fresh arrays, so Adam's iterates are held by reference
+    best_x, best_f = state.x, np.inf
     for _ in range(cfg_adam.max_steps):
         f, g = objective(state.x)
         adam_curve.append(f)
         if f < best_f:
-            best_f, best_x = f, state.x.copy()
+            best_f, best_x = f, state.x
         if f <= cfg_adam.switch_tol:
             break
         state = adam_step(state, g, cfg_adam)

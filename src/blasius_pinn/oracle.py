@@ -91,6 +91,12 @@ def step_count(h: float, eta_max: float) -> int:
     return round(ratio)
 
 
+def coarse_step(h: float, eta_max: float) -> float:
+    """Step of shoot's coarse secant: 10 h, capped at 1e-2 and at eta_max so
+    that the pass takes at least one step."""
+    return min(10.0 * h, 1e-2, eta_max)
+
+
 def _integrate_end(s: float, h: float, eta_max: float):
     """End state (f, f', f'') at eta_max, without tabulation."""
     steps = step_count(h, eta_max)
@@ -132,12 +138,11 @@ def rk4_shoot(s: float, h: float, eta_max: float) -> SolutionTable:
 def shoot(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
     """Secant iteration on g(s) = f'(eta_max; s) - 1 from s in {0.1, 0.5}.
 
-    The secant runs at a coarse step (10x h, capped at 1e-2 and at eta_max
-    so it takes at least one step), and its root is tabulated at step h.
-    When that table already has |f'(eta_max) - 1| <= SHOOT_TOL, as it does
-    at the default h, the fine grid is integrated once.  Otherwise a secant
-    at step h starts from the coarse root, and its root is tabulated.
-    Iteration counts from both passes are reported.
+    The secant runs at coarse_step(h, eta_max), and its root is tabulated
+    at step h.  When that table already has |f'(eta_max) - 1| <= SHOOT_TOL,
+    as it does at the default h, the fine grid is integrated once.
+    Otherwise a secant at step h starts from the coarse root, and its root
+    is tabulated.  Iteration counts from both passes are reported.
     """
     if not eta_max > 0.0:
         raise ValueError("eta_max must be positive")
@@ -160,7 +165,7 @@ def shoot(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
                 return s1
         raise DivergenceError(f"shooting did not converge at h={step}")
 
-    coarse = min(10.0 * h, 1e-2, eta_max)
+    coarse = coarse_step(h, eta_max)
     s_star = solve_at(coarse, 0.1, _integrate_end(0.1, coarse, eta_max)[1] - 1.0, 0.5)
     table = rk4_shoot(s_star, h, eta_max)
     # the table's last node is _integrate_end(s_star, h, eta_max), bit for bit

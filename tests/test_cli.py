@@ -80,6 +80,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^adam: decay"):
             parse_config("adam.decay = 0\n")
 
+    def test_sections_are_checked_together(self):
+        # with the default network this probe span's onset scan needs a 4.6 GiB
+        # workspace; at width 10 it needs 0.5 GiB, in either order of lines
+        lines = ["probe.eta_m = 2000", "network.width = 10"]
+        for text in ("\n".join(lines), "\n".join(lines[::-1])):
+            assert parse_config(text).network.width == 10
+        with pytest.raises(ConfigError, match="jet workspace"):
+            parse_config(lines[0])
+
     def test_key_table(self):
         # a new config key is a reviewed change to this list
         assert sorted(_KEY_TYPES) == [
@@ -308,6 +317,15 @@ class TestCliErrors:
         ("solve-oracle", "oracle.eta_max = 1e300"),
         ("solve-oracle", "oracle.eta_max = 1e-9"),
         ("solve-oracle", "oracle.blowup_h = 1e-300"),
+        # 10^7 fine steps, but shoot's coarse pass at step 1e-2 takes more
+        ("solve-oracle", "oracle.eta_max = 1e6\noracle.h = 0.1"),
+        ("solve-oracle", "oracle.eta_max = 1e300\noracle.h = 1e294"),
+        ("compare", "paths.checkpoint_in = ck.txt\noracle.eta_max = 1e6\noracle.h = 0.1"),
+        # jet workspace bytes: the training grid, a deep network, and
+        # growth_onset's scan over a long probe span
+        ("train", "grid.n = 1000000"),
+        ("train", "network.depth = 1000000\nnetwork.width = 1"),
+        ("probe-negative", "paths.checkpoint_in = ck.txt\nprobe.eta_m = 1000000"),
         ("probe-negative", "paths.checkpoint_in = ck.txt\nadam.max_steps = 0\n"
                            "lbfgs.max_iters = 0\noracle.blowup_h = 1e-300"),
         # output paths must be given
@@ -333,20 +351,28 @@ class TestCliErrors:
         CHECKPOINT_MAGIC + "\n",                              # no header line
         CHECKPOINT_MAGIC + "\n1 1 0\n0.5\nnan\n0.5\n0.5\n",     # 1x1 network, 4 parameters
         CHECKPOINT_MAGIC + "\n1 1 0\n0.5\n-inf\n0.5\n0.5\n",
-    ], ids=["magic_only", "nan_parameter", "inf_parameter"])
+        # under MAX_PARAMS, but a 256-node tabulate block needs 15 GiB
+        CHECKPOINT_MAGIC + "\n1000000 1 0\n" + "0\n" * NetworkConfig(10 ** 6, 1, 0).param_count(),
+    ], ids=["magic_only", "nan_parameter", "inf_parameter", "deep_narrow"])
     def test_bad_checkpoint_exits_2(self, tmp_path, checkpoint):
         (tmp_path / "ck.txt").write_text(checkpoint)
         self.assert_exits_2(tmp_path, "export", write_cfg(tmp_path, "paths.checkpoint_in = ck.txt\n"))
 
-    def test_overflowing_network_exits_3(self, tmp_path):
-        # finite parameters whose network output overflows: no table, no plot
+    @pytest.mark.parametrize("mode,text", [
+        # finite parameters whose network output overflows
+        ("export", "paths.checkpoint_in = ck.txt\n"),
+        # an Adam step that overflows the parameters
+        ("train", FAST_TRAIN + "adam.base_lr = 1e300\n"),
+    ], ids=["export", "train"])
+    def test_overflowing_network_exits_3(self, tmp_path, mode, text):
+        # no table, no plot, no checkpoint
         net = NetworkConfig(1, 100, 0)
         save_checkpoint(tmp_path / "ck.txt", net,
                         ParamVector(np.full(net.param_count(), 1e307), net.layer_shapes()))
-        cfg = write_cfg(tmp_path, "paths.checkpoint_in = ck.txt\npaths.plot_out = sol.svg\n")
+        cfg = write_cfg(tmp_path, text + "paths.plot_out = sol.svg\n")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(blasius_pinn.__file__)))
         proc = subprocess.run(
-            [sys.executable, "-m", "blasius_pinn.cli", "export", "--config", cfg, "--out", str(tmp_path)],
+            [sys.executable, "-m", "blasius_pinn.cli", mode, "--config", cfg, "--out", str(tmp_path)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 3, proc.stderr

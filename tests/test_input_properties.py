@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from blasius_pinn.config import _KEY_TYPES, ConfigError, RunConfig, parse_config
 from blasius_pinn.loss import MAX_POINTS
-from blasius_pinn.network import CHECKPOINT_MAGIC, NetworkConfig, ParamVector, load_checkpoint
-from blasius_pinn.oracle import ETA_FLOOR, MAX_STEPS
+from blasius_pinn.network import (CHECKPOINT_MAGIC, MAX_WORKSPACE_BYTES, NetworkConfig, ParamVector,
+                                  load_checkpoint, workspace_bytes)
+from blasius_pinn.oracle import ETA_FLOOR, MAX_STEPS, coarse_step
 
 numbers = st.one_of(
     st.integers(),
@@ -35,7 +36,9 @@ def test_config_text_parses_or_raises_config_error(lines):
     # a config that parses asks for bounded work
     assert cfg.grid.n <= MAX_POINTS and cfg.probe.n <= MAX_POINTS
     assert cfg.oracle.eta_max / cfg.oracle.h <= MAX_STEPS
+    assert cfg.oracle.eta_max / coarse_step(cfg.oracle.h, cfg.oracle.eta_max) <= MAX_STEPS
     assert -ETA_FLOOR / cfg.oracle.blowup_h <= MAX_STEPS
+    assert workspace_bytes(cfg.network, max(cfg.grid.n, cfg.probe.n) + 2) <= MAX_WORKSPACE_BYTES
 
 
 header = st.one_of(

@@ -13,7 +13,8 @@ from blasius_pinn import kernels
 from blasius_pinn.analysis import growth_onset, onset_from_profile
 from blasius_pinn.grad import loss_and_grad
 from blasius_pinn.loss import CollocationGrid
-from blasius_pinn.network import NetworkConfig, ParamVector, Workspace, forward_jet_batch, init_params
+from blasius_pinn.network import (NetworkConfig, ParamVector, Workspace, forward_jet_batch,
+                                  init_params, workspace_bytes)
 from jet_reference import (
     forward_jet_batch_alloc,
     loss_and_grad_alloc,
@@ -88,6 +89,15 @@ def test_results_survive_later_calls():
     want = onset_from_profile(scan, forward_jet_batch_alloc(p1, scan)[0][3],
                               forward_jet_batch_alloc(p1, ref)[0][3])
     assert growth_onset(p1, -1.0, 8.0) == want
+
+
+@pytest.mark.parametrize("depth,width,n", [(2, 100, 102), (1, 1, 1), (3, 7, 256), (5, 2, 40)])
+def test_workspace_bytes_is_the_buffers_size(depth, width, n):
+    # the closed form that the config and the CLI check before allocating
+    cfg = NetworkConfig(depth, width, 0)
+    ws = Workspace(cfg.layer_shapes(), n)
+    buffers = [ws.eta, *ws.z, *ws.act, ws.scratch, ws.abar, ws.zbar]
+    assert workspace_bytes(cfg, n) == sum(b.nbytes for b in buffers)
 
 
 def test_workspace_rejects_other_shapes_and_more_points():
