@@ -1,14 +1,15 @@
-"""Classical ground truth: RK4 + secant shooting for the Blasius equation.
+"""Classical ground truth: RK4 shooting for the Blasius equation.
 
 The third-order ODE f''' = -1/2 f f'' is integrated as the first-order
-system (f, f', f'')' = (f', f'', -1/2 f f'') from (0, 0, s), and the wall
-curvature s is iterated until f'(eta_max) = 1.  A backward integration onto
-the negative axis locates the blow-up of the analytic continuation.
+system (f, f', f'')' = (f', f'', -1/2 f f'') from (0, 0, s).  The wall
+curvature s with f'(eta_max) = 1 follows from one integration of the
+normalised problem by Töpfer's scaling law, with a secant as the fallback.
+A backward integration onto the negative axis locates the blow-up of the
+analytic continuation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,8 @@ from .grad import DivergenceError
 OVERFLOW_LIMIT = 1e12       # |f| beyond this is reported as divergence
 BLOWUP_LIMIT = 1e8          # |f| threshold for the negative-axis probe
 ETA_FLOOR = -10.0
-SHOOT_TOL = 1e-10           # secant stops once |f'(eta_max) - 1| is this small
-SHOOT_MAX_ITERS = 100       # secant iterations per pass
+SHOOT_TOL = 1e-10           # shoot stops once |f'(eta_max) - 1| is this small
+SHOOT_MAX_ITERS = 100       # secant (and scaled-root Newton) iterations
 MAX_STEPS = 10 ** 7         # RK4 steps one integration may be asked for
 # backward_blowup takes coarse steps while |f| stays at or below this.  Near
 # the pole f ~ 6/(eta - eta_s), so |f| <= 10 keeps the pole at least ~0.6
@@ -62,22 +63,6 @@ class ShootingResult:
     table: SolutionTable
 
 
-def _rk4_step(f, fp, fpp, h):
-    # k = (f', f'', -1/2 f f'') evaluated at the four RK4 stages
-    k1f, k1p, k1q = fp, fpp, -0.5 * f * fpp
-    f2, p2, q2 = f + 0.5 * h * k1f, fp + 0.5 * h * k1p, fpp + 0.5 * h * k1q
-    k2f, k2p, k2q = p2, q2, -0.5 * f2 * q2
-    f3, p3, q3 = f + 0.5 * h * k2f, fp + 0.5 * h * k2p, fpp + 0.5 * h * k2q
-    k3f, k3p, k3q = p3, q3, -0.5 * f3 * q3
-    f4, p4, q4 = f + h * k3f, fp + h * k3p, fpp + h * k3q
-    k4f, k4p, k4q = p4, q4, -0.5 * f4 * q4
-    return (
-        f + h / 6.0 * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),
-        fp + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-        fpp + h / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q),
-    )
-
-
 def step_count(h: float, eta_max: float) -> int:
     """round(|eta_max| / h), the RK4 steps of an integration from 0 to
     eta_max.  Raises ValueError unless h is positive and |eta_max| / h is
@@ -92,20 +77,54 @@ def step_count(h: float, eta_max: float) -> int:
 
 
 def coarse_step(h: float, eta_max: float) -> float:
-    """Step of shoot's coarse secant: 10 h, capped at 1e-2 and at eta_max so
-    that the pass takes at least one step."""
+    """Step of shoot's normalised march: 10 h, capped at 1e-2 and at eta_max
+    so that the march takes at least one step."""
     return min(10.0 * h, 1e-2, eta_max)
+
+
+def _march(f, fp, fpp, h, steps, limit):
+    """RK4 from (f, f', f'') for `steps` steps of h, the one step formula
+    every integration uses.  Yields flat floats, f, f', f'' of the start and
+    then of each step, and stops before the first state whose |f| exceeds
+    limit or is NaN."""
+    half, sixth = 0.5 * h, h / 6.0
+    yield f
+    yield fp
+    yield fpp
+    for _ in range(steps):
+        # the stage slopes (f', f'', -1/2 f f'') are k1 = (fp, fpp, r1),
+        # k2 = (p2, q2, r2), k3 = (p3, q3, r3) and k4 = (p4, q4, r4)
+        r1 = -0.5 * f * fpp
+        f2, p2, q2 = f + half * fp, fp + half * fpp, fpp + half * r1
+        r2 = -0.5 * f2 * q2
+        f3, p3, q3 = f + half * p2, fp + half * q2, fpp + half * r2
+        r3 = -0.5 * f3 * q3
+        f4, p4, q4 = f + h * p3, fp + h * q3, fpp + h * r3
+        r4 = -0.5 * f4 * q4
+        f = f + sixth * (fp + 2.0 * p2 + 2.0 * p3 + p4)
+        if not abs(f) <= limit:
+            return
+        fp = fp + sixth * (fpp + 2.0 * q2 + 2.0 * q3 + q4)
+        fpp = fpp + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        yield f
+        yield fp
+        yield fpp
+
+
+def _last(march):
+    """(number of states, last state) of a march; it yields at least its start."""
+    for n, state in enumerate(zip(march, march, march), start=1):
+        pass
+    return n, state
 
 
 def _integrate_end(s: float, h: float, eta_max: float):
     """End state (f, f', f'') at eta_max, without tabulation."""
     steps = step_count(h, eta_max)
-    f, fp, fpp = 0.0, 0.0, s
-    for _ in range(steps):
-        f, fp, fpp = _rk4_step(f, fp, fpp, h)
-        if not math.isfinite(f) or abs(f) > OVERFLOW_LIMIT:
-            raise DivergenceError("RK4 overflow")
-    return f, fp, fpp
+    n, end = _last(_march(0.0, 0.0, s, h, steps, OVERFLOW_LIMIT))
+    if n <= steps:
+        raise DivergenceError("RK4 overflow")
+    return end
 
 
 def rk4_shoot(s: float, h: float, eta_max: float) -> SolutionTable:
@@ -116,62 +135,84 @@ def rk4_shoot(s: float, h: float, eta_max: float) -> SolutionTable:
     """
     steps = step_count(h, eta_max)
     step = h if eta_max > 0 else -h
-    eta = np.empty(steps + 1)
-    fs = np.empty(steps + 1)
-    fps = np.empty(steps + 1)
-    fpps = np.empty(steps + 1)
-    f, fp, fpp = 0.0, 0.0, s
-    eta[0], fs[0], fps[0], fpps[0] = 0.0, f, fp, fpp
-    for i in range(1, steps + 1):
-        f, fp, fpp = _rk4_step(f, fp, fpp, step)
-        if not math.isfinite(f) or abs(f) > OVERFLOW_LIMIT:
-            raise DivergenceError(f"RK4 overflow at eta={eta[i - 1]:.6g}")
-        eta[i] = i * step
-        fs[i], fps[i], fpps[i] = f, fp, fpp
+    flat = np.fromiter(_march(0.0, 0.0, s, step, steps, OVERFLOW_LIMIT), float)
+    eta = np.arange(flat.size // 3) * step
+    eta[0] = 0.0
+    if eta.size <= steps:
+        raise DivergenceError(f"RK4 overflow at eta={eta[-1]:.6g}")
+    f, fp, fpp = flat.reshape(-1, 3).T.copy()
     # f''' at the nodes is -1/2 f f'' by the ODE itself, so the tabulated
     # residual is identically zero; kept as a column for schema uniformity
     # with PINN tables.
     res = np.zeros(steps + 1)
-    return SolutionTable(eta, fs, fps, fpps, res)
+    return SolutionTable(eta, f, fp, fpp, res)
+
+
+def _scaled_root(step: float, eta_max: float) -> float:
+    """s*(eta_max) from one march of F, the solution with F''(0) = 1.
+
+    By Töpfer's scaling f(eta; s) = s^(1/3) F(s^(1/3) eta), f'(eta_max) = 1
+    where xi = s^(1/3) eta_max solves (xi / eta_max)^2 F'(xi) = 1, and then
+    s = (xi / eta_max)^3.  F is marched until it passes that point, and the
+    crossing is solved by Newton's method on the length of one RK4 step from
+    the last node before it.  For eta_max < 1 the march step is scaled by
+    eta_max^(-1/3) (s* -> 1 / eta_max there), so it takes about
+    eta_max / step steps, as an integration of f at `step` would.
+    """
+    d = step * max(1.0, eta_max ** (-1.0 / 3.0))
+    march = _march(0.0, 0.0, 1.0, d, MAX_STEPS, OVERFLOW_LIMIT)
+    for i, state in enumerate(zip(march, march, march)):
+        if (i * d / eta_max) ** 2 * state[1] >= 1.0:
+            break
+        xi, node = i * d, state
+    else:
+        raise DivergenceError(f"the normalised march did not reach f'({eta_max:g}) = 1")
+    # (xi + t)^2 F'(xi + t) is increasing and convex in t, so Newton from the
+    # step's end, where it is past the root, descends onto it
+    t = d
+    for _ in range(SHOOT_MAX_ITERS):
+        _, _, _, _, p, q = _march(*node, t, 1, OVERFLOW_LIMIT)
+        r = (xi + t) / eta_max
+        t_next = t - (r * r * p - 1.0) / (r * (2.0 * p / eta_max + r * q))
+        if not t_next < t:
+            break
+        t = t_next
+    return ((xi + t) / eta_max) ** 3
 
 
 def shoot(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
-    """Secant iteration on g(s) = f'(eta_max; s) - 1 from s in {0.1, 0.5}.
+    """Wall curvature s* with f'(eta_max) = 1, and its table at step h.
 
-    The secant runs at coarse_step(h, eta_max), and its root is tabulated
-    at step h.  When that table already has |f'(eta_max) - 1| <= SHOOT_TOL,
-    as it does at the default h, the fine grid is integrated once.
-    Otherwise a secant at step h starts from the coarse root, and its root
-    is tabulated.  Iteration counts from both passes are reported.
+    s* comes from Töpfer's scaling law through one march of the normalised
+    problem at coarse_step(h, eta_max) (see _scaled_root) and is tabulated
+    at step h.  When that table has |f'(eta_max) - 1| <= SHOOT_TOL, as it
+    does at the default h, that is the result.  Otherwise a secant on
+    g(s) = f'(eta_max; s) - 1 at step h starts from s* and the g its table
+    measured, and its root is tabulated; `iterations` counts its iterations.
     """
     if not eta_max > 0.0:
         raise ValueError("eta_max must be positive")
     if step_count(h, eta_max) < 1:
         raise ValueError("eta_max / h must round to at least 1 RK4 step")
-    iterations = 0
-
-    def solve_at(step: float, s0: float, g0: float, s1: float) -> float:
-        nonlocal iterations
-        g1 = _integrate_end(s1, step, eta_max)[1] - 1.0
-        for _ in range(SHOOT_MAX_ITERS):
-            iterations += 1
-            if g1 == g0:
-                break
-            s2 = s1 - g1 * (s1 - s0) / (g1 - g0)
-            s0, g0 = s1, g1
-            s1 = s2
-            g1 = _integrate_end(s1, step, eta_max)[1] - 1.0
-            if abs(g1) <= SHOOT_TOL:
-                return s1
-        raise DivergenceError(f"shooting did not converge at h={step}")
-
     coarse = coarse_step(h, eta_max)
-    s_star = solve_at(coarse, 0.1, _integrate_end(0.1, coarse, eta_max)[1] - 1.0, 0.5)
+    step_count(coarse, eta_max)     # the march's work bound, as OracleSpec checks it
+    s_star = _scaled_root(coarse, eta_max)
     table = rk4_shoot(s_star, h, eta_max)
     # the table's last node is _integrate_end(s_star, h, eta_max), bit for bit
-    g = float(table.fp[-1]) - 1.0
-    if abs(g) > SHOOT_TOL:
-        s_star = solve_at(h, s_star, g, s_star * (1.0 + 1e-4))
+    g0 = float(table.fp[-1]) - 1.0
+    iterations = 0
+    if abs(g0) > SHOOT_TOL:
+        s0, s1 = s_star, s_star * (1.0 + 1e-4)
+        g1 = _integrate_end(s1, h, eta_max)[1] - 1.0
+        while True:
+            iterations += 1
+            if g1 == g0 or iterations > SHOOT_MAX_ITERS:
+                raise DivergenceError(f"shooting did not converge at h={h}")
+            s0, s1, g0 = s1, s1 - g1 * (s1 - s0) / (g1 - g0), g1
+            g1 = _integrate_end(s1, h, eta_max)[1] - 1.0
+            if abs(g1) <= SHOOT_TOL:
+                break
+        s_star = s1
         table = rk4_shoot(s_star, h, eta_max)
     return ShootingResult(s_star, h, eta_max, iterations, table)
 
@@ -187,20 +228,16 @@ def backward_blowup(s: float, h: float) -> float | None:
     |f| <= BLOWUP_COARSE_F; steps of h go on from the last coarse node.
     Raises ValueError unless -ETA_FLOOR / h is at most MAX_STEPS.
     """
-    step_count(h, ETA_FLOOR)
+    last = step_count(h, ETA_FLOOR)
+    # the nodes -i h above ETA_FLOOR are i = 0 .. last
+    while not -last * h > ETA_FLOOR:
+        last -= 1
+    while -(last + 1) * h > ETA_FLOOR:
+        last += 1
     k = max(1, min(100, round(1e-2 / h)))
-    f, fp, fpp = 0.0, 0.0, s
-    i = 0
-    while -(i + k) * h > ETA_FLOOR:
-        fn, fpn, fppn = _rk4_step(f, fp, fpp, -k * h)
-        if not abs(fn) <= BLOWUP_COARSE_F:
-            break
-        f, fp, fpp = fn, fpn, fppn
-        i += k
-    while -i * h > ETA_FLOOR:
-        fn, fpn, fppn = _rk4_step(f, fp, fpp, -h)
-        if not math.isfinite(fn) or abs(fn) > BLOWUP_LIMIT:
-            return -i * h
-        f, fp, fpp = fn, fpn, fppn
-        i += 1
-    return None
+    n, state = _last(_march(0.0, 0.0, s, -k * h, last // k, BLOWUP_COARSE_F))
+    i = (n - 1) * k
+    n, _ = _last(_march(*state, -h, last - i + 1, BLOWUP_LIMIT))
+    if n > last - i + 1:
+        return None
+    return -(i + n - 1) * h

@@ -22,7 +22,7 @@ from blasius_pinn.analysis import (
 from blasius_pinn.loss import CollocationGrid, loss_total
 from blasius_pinn.network import NetworkConfig, ParamVector, forward_jet_batch, init_params
 from blasius_pinn.optim import AdamConfig, LbfgsConfig
-from blasius_pinn.oracle import backward_blowup
+from blasius_pinn.oracle import backward_blowup, rk4_shoot
 
 # first eta with f' = 0.99, interpolated on the h=1e-4 shooting table
 ETA99_ORACLE = 4.909779995759959
@@ -116,6 +116,18 @@ def test_trained_network_matches_oracle(trained_default, shoot_result):
     assert rep.rms_err_f <= rep.max_abs_err_f
     assert rep.wall_curvature_pinn == pytest.approx(shoot_result.s_star, abs=1e-4)
     assert rep.eta99_pinn == pytest.approx(ETA99_ORACLE, abs=5e-3)
+
+
+def test_compare_wall_curvature_is_the_tables_first_row(shoot_result):
+    # the export grid's eta = 0 row; a separate one-point forward pass gave
+    # f''(0) a few units in the last place away for most of these networks
+    oracle_table = rk4_shoot(shoot_result.s_star, 1e-2, 8.0)
+    base = init_params(NetworkConfig())
+    for seed in range(1, 21):
+        noise = np.random.default_rng(seed).normal(scale=0.1, size=len(base))
+        p = ParamVector(base.values + noise, base.shapes)
+        exported = tabulate(p, np.linspace(0, 8, 100)).fpp[0]
+        assert compare(p, oracle_table).wall_curvature_pinn == exported
 
 
 def test_onset_from_profile_synthetic():

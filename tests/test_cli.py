@@ -382,6 +382,23 @@ class TestCliErrors:
         assert "RuntimeWarning" not in proc.stderr
         assert sorted(f.name for f in tmp_path.iterdir()) == ["ck.txt", "run.cfg"]
 
+    def test_smallest_domain_exits_0_within_seconds(self, tmp_path):
+        # accepted by the config (one RK4 step); s* = 1 / eta_max = 1e300, and
+        # a normalised march at the unscaled coarse step would need
+        # eta_max^(-1/3) = 10^100 steps to reach the crossing
+        cfg = write_cfg(tmp_path, "oracle.eta_max = 1e-300\noracle.h = 1e-300\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(blasius_pinn.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "blasius_pinn.cli", "solve-oracle", "--config", cfg,
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        table = read_solution_csv(tmp_path / "solution.csv")
+        assert len(table) == 2 and abs(table.fp[-1] - 1.0) <= 1e-10
+        assert table.fpp[0] == pytest.approx(1e300, rel=1e-12)
+
     def test_unknown_mode_rejected_by_argparse(self, tmp_path, capsys):
         assert main(["swim", "--out", str(tmp_path)]) == 2
         capsys.readouterr()

@@ -6,7 +6,9 @@ import pytest
 from blasius_pinn import oracle
 from blasius_pinn.grad import DivergenceError
 from blasius_pinn.oracle import SHOOT_TOL, SolutionTable, backward_blowup, rk4_shoot, shoot
-from oracle_reference import blowup_reference, order_slope, read_solution_csv
+from oracle_reference import (backward_blowup_reference, blowup_reference,
+                              integrate_end_reference, order_slope, read_solution_csv,
+                              rk4_shoot_reference, shoot_reference)
 from writer_reference import csv_reference
 
 # wall curvature from the converged secant iteration at h=1e-4; frozen as the
@@ -29,6 +31,46 @@ def test_shoot_matches_literature_constant_at_eta_max_10():
     # far-field truncation puts s* 1.86e-6 above it
     res = shoot(h=1e-3, eta_max=10.0)
     assert abs(res.s_star - 0.33205733621) <= 2e-9
+
+
+def test_normalised_solution_gives_the_literature_constant():
+    # Töpfer: f(eta; s) = s^(1/3) F(s^(1/3) eta) with F''(0) = 1, so
+    # s*(inf) = F'(inf)^(-3/2); F' is flat to ~1e-15 by eta = 10
+    s_inf = oracle._integrate_end(1.0, 1e-3, 10.0)[1] ** -1.5
+    assert abs(s_inf - 0.33205733621519630) <= 1e-13
+
+
+@pytest.mark.parametrize("eta_max", [0.5, 1.0, 2.0, 4.0, 8.0, 10.0, 20.0])
+def test_scaled_root_matches_the_secant_root(eta_max):
+    # the scaling law's s* against the coarse secant's root, each tabulated
+    # at h = 1e-4; the scaled root meets the tolerance without a secant
+    res = shoot(h=1e-4, eta_max=eta_max)
+    assert abs(res.s_star - shoot_reference(h=1e-4, eta_max=eta_max).s_star) <= 1e-12
+    assert abs(res.table.fp[-1] - 1.0) <= SHOOT_TOL
+    assert res.iterations == 0
+
+
+@pytest.mark.parametrize("eta_max", [1e-300, 1e-100, 1e-9, 1e-4, 1e-2, 0.5, 1.0, 8.0, 20.0])
+def test_normalised_march_takes_the_steps_of_one_coarse_integration(monkeypatch, eta_max):
+    # s* -> 1 / eta_max as eta_max -> 0, where the crossing sits at
+    # xi ~ eta_max^(2/3): an unscaled march at the coarse step would take
+    # eta_max^(-1/3) steps, 10^100 at eta_max = 1e-300
+    yields = []
+    march = oracle._march
+
+    def counted(*args):
+        yields.append(0)
+        for value in march(*args):
+            yields[-1] += 1
+            yield value
+
+    monkeypatch.setattr(oracle, "_march", counted)
+    h = min(eta_max / 1000.0, 1e-2)
+    res = shoot(h=h, eta_max=eta_max)
+    # the first march is the normalised one; it yields the start and each node
+    taken = yields[0] // 3 - 1
+    assert taken <= 1.01 * oracle.step_count(oracle.coarse_step(h, eta_max), eta_max) + 1
+    assert abs(res.table.fp[-1] - 1.0) <= SHOOT_TOL
 
 
 def test_table_endpoint_values(shoot_result):
@@ -115,25 +157,26 @@ def test_step_count_at_the_bound():
     assert oracle.step_count(1e-4, -8.0) == 80_000
 
 
-def record_integrations(monkeypatch) -> list:
-    """(s, step) of every _integrate_end call shoot makes from now on."""
-    calls = []
-    integrate = oracle._integrate_end
+def record_integrations(monkeypatch) -> dict:
+    """(s, step) of every _integrate_end and rk4_shoot call shoot makes from
+    now on, by function name."""
+    calls = {"_integrate_end": [], "rk4_shoot": []}
+    for name, log in calls.items():
+        def recorded(s, step, eta_max, integrate=getattr(oracle, name), log=log):
+            log.append((s, step))
+            return integrate(s, step, eta_max)
 
-    def recorded(s, step, eta_max):
-        calls.append((s, step))
-        return integrate(s, step, eta_max)
-
-    monkeypatch.setattr(oracle, "_integrate_end", recorded)
+        monkeypatch.setattr(oracle, name, recorded)
     return calls
 
 
 def test_shoot_integrates_the_fine_grid_once(monkeypatch):
-    # the coarse root meets SHOOT_TOL on the fine grid, so the one fine
-    # integration is the table itself
+    # the scaled root meets SHOOT_TOL on the fine grid, so the one fine
+    # integration is the table itself and no secant runs
     calls = record_integrations(monkeypatch)
     res = shoot(h=1e-4, eta_max=8.0)
-    assert calls and {step for _, step in calls} == {1e-3}
+    assert calls == {"_integrate_end": [], "rk4_shoot": [(res.s_star, 1e-4)]}
+    assert res.iterations == 0
     ref = rk4_shoot(res.s_star, 1e-4, 8.0)
     for a, b in zip((res.table.eta, res.table.f, res.table.fp, res.table.fpp),
                     (ref.eta, ref.f, ref.fp, ref.fpp)):
@@ -142,16 +185,47 @@ def test_shoot_integrates_the_fine_grid_once(monkeypatch):
 
 
 def test_shoot_fine_secant_starts_from_the_coarse_table(monkeypatch):
-    # at h = 0.1 the coarse step is 1e-2, finer than h: its root misses the
-    # tolerance at step h, and the fine secant reuses the coarse root's g
+    # at h = 0.1 the scaled root, from a march at 1e-2, misses the tolerance
+    # at step h; the fine secant reuses the g its table measured, so it never
+    # integrates that root again
     calls = record_integrations(monkeypatch)
     res = shoot(h=0.1, eta_max=8.0)
-    s_coarse = [s for s, step in calls if step == 1e-2][-1]
-    assert any(step == 0.1 for _, step in calls)
-    assert (s_coarse, 0.1) not in calls
+    s_est = calls["rk4_shoot"][0][0]
+    ends = calls["_integrate_end"]
+    assert ends[0] == (s_est * (1.0 + 1e-4), 0.1)
+    assert {step for _, step in ends} == {0.1}
+    assert (s_est, 0.1) not in ends
+    assert res.iterations == len(ends) - 1 >= 1
     assert isinstance(res.s_star, float)
     assert abs(res.table.fp[-1] - 1.0) <= SHOOT_TOL
     assert np.array_equal(res.table.fp, rk4_shoot(res.s_star, 0.1, 8.0).fp)
+
+
+def assert_tables_equal(a: SolutionTable, b: SolutionTable) -> None:
+    for x, y in zip((a.eta, a.f, a.fp, a.fpp, a.residual), (b.eta, b.f, b.fp, b.fpp, b.residual)):
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("s,h,eta_max", [
+    (S_STAR, 1e-4, 8.0), (0.5, 1e-3, 8.0), (S_STAR, 0.1, 8.0), (1.0, 1e-2, 10.0),
+    (2500.0, 1e-4, 4e-4), (S_STAR, 1e-3, -1.0), (S_STAR, 1e-3, 0.0),
+])
+def test_rk4_shoot_matches_the_per_step_loop(s, h, eta_max):
+    assert_tables_equal(rk4_shoot(s, h, eta_max), rk4_shoot_reference(s, h, eta_max))
+    assert oracle._integrate_end(s, h, eta_max) == integrate_end_reference(s, h, eta_max)
+
+
+@pytest.mark.parametrize("s,h,eta_max", [
+    (S_STAR, 1e-3, -8.0), (S_STAR, 1e-4, -8.0), (2.0, 1e-3, -20.0),
+    (1e30, 1e-3, -8.0),     # overflows in the first step: the message says eta=0
+    (1e30, 1e-3, 8.0),
+])
+def test_rk4_shoot_divergence_matches_the_per_step_loop(s, h, eta_max):
+    with pytest.raises(DivergenceError) as got:
+        rk4_shoot(s, h, eta_max)
+    with pytest.raises(DivergenceError) as want:
+        rk4_shoot_reference(s, h, eta_max)
+    assert str(got.value) == str(want.value)
 
 
 def test_backward_integration_blows_up_near_minus_5_69():
@@ -183,6 +257,12 @@ def test_backward_blowup_matches_fine_steps(h, slopes):
     # coarse steps while |f| is small land on the node the fine-only loop finds
     for s in slopes:
         assert backward_blowup(float(s), h) == blowup_reference(float(s), h)
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-5, 3e-3, 0.1, 7e-4, 2e-2])
+def test_backward_blowup_matches_the_per_step_search(h):
+    for s in (0.05, 0.1, 0.2, S_STAR, 1.0, 2.0):
+        assert backward_blowup(s, h) == backward_blowup_reference(s, h)
 
 
 def test_backward_blowup_validation():
