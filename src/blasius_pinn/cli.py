@@ -101,7 +101,7 @@ def _cmd_train(cfg: RunConfig) -> int:
 def _cmd_solve_oracle(cfg: RunConfig) -> int:
     res = shoot(h=cfg.oracle.h, eta_max=cfg.oracle.eta_max)
     _write_table(cfg.paths, res.table, "Shooting solution")
-    print(f"ok mode=solve-oracle s_star={res.s_star:.9f} h={res.h:g} "
+    print(f"ok mode=solve-oracle s_star={res.s_star:.9g} h={res.h:g} "
           f"iterations={res.iterations}")
     return 0
 
@@ -130,7 +130,7 @@ def _cmd_compare(cfg: RunConfig) -> int:
     res = shoot(h=cfg.oracle.h, eta_max=cfg.oracle.eta_max)
     rep = compare(p, res.table)
     _atomic(cfg.paths.csv_out, lambda tmp: _write_kv_csv(tmp, asdict(rep).items()))
-    print(f"ok mode=compare wall_curvature_pinn={rep.wall_curvature_pinn:.6f} "
+    print(f"ok mode=compare wall_curvature_pinn={rep.wall_curvature_pinn:.6g} "
           f"max_abs_err_f={rep.max_abs_err_f:.3g}")
     return 0
 

@@ -44,14 +44,15 @@ class SolutionTable:
         return self.eta.size
 
     def to_csv(self, path) -> None:
-        """17 significant digits per value, formatted CSV_BLOCK rows at a
-        time so the Python floats alive at once do not grow with the table."""
+        """17 significant digits per value.  Each block of CSV_BLOCK rows is
+        formatted by one % of the repeated row format, so the Python floats
+        alive at once do not grow with the table."""
         cols = (self.eta, self.f, self.fp, self.fpp, self.residual)
         with open(path, "w") as fh:
             fh.write("eta,f,fp,fpp,residual\n")
             for lo in range(0, len(self), CSV_BLOCK):
-                rows = zip(*(c[lo : lo + CSV_BLOCK].tolist() for c in cols))
-                fh.write("".join(_CSV_ROW % row for row in rows))
+                block = np.stack([c[lo : lo + CSV_BLOCK] for c in cols], axis=1)
+                fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass

@@ -30,6 +30,37 @@ def _ticks(lo: float, hi: float, n: int = 6):
     return out
 
 
+def _hundredths(v: np.ndarray) -> np.ndarray:
+    """v rounded to whole hundredths, k = round(100 v), as "%.2f" % v rounds.
+
+    fl(100 v) is within 2^-37 (7.3e-12) of the exact product for v < 1000, so
+    rint rounds it correctly unless 100 v lies within 1e-6 of a half-integer.
+    There k comes from "%.2f" itself, which rounds the exact value: the
+    double nearest 333.335 lies below the tie and prints "333.33", while its
+    product with 100 rounds to 33333.5, which rint takes to 33334.
+    """
+    p = 100.0 * v
+    k = np.rint(p).astype(np.int64)
+    near = np.abs(p - np.floor(p) - 0.5) < 1e-6
+    k[near] = [int(("%.2f" % t).replace(".", "")) for t in v[near].tolist()]
+    return k
+
+
+def _tokens(k: np.ndarray, sep: str) -> np.ndarray:
+    """Rows of ASCII bytes "ddd.dd" + sep for hundredths k in [0, 99999]: 1-3
+    integer digits, the unused leading places left as 0 bytes."""
+    whole, frac = np.divmod(k, 100)
+    out = np.empty((k.size, 7), dtype=np.uint8)
+    out[:, 0] = np.where(whole >= 100, 48 + whole // 100, 0)
+    out[:, 1] = np.where(whole >= 10, 48 + whole // 10 % 10, 0)
+    out[:, 2] = 48 + whole % 10
+    out[:, 3] = ord(".")
+    out[:, 4] = 48 + frac // 10
+    out[:, 5] = 48 + frac % 10
+    out[:, 6] = ord(sep)
+    return out
+
+
 def write_curves_svg(path, x, curves, title: str = "", xlabel: str = "eta") -> None:
     """Write labeled polyline curves to an SVG file.
 
@@ -87,10 +118,14 @@ def write_curves_svg(path, x, curves, title: str = "", xlabel: str = "eta") -> N
     parts.append(
         f'<text x="{WIDTH / 2}" y="{HEIGHT - 15}" text-anchor="middle" font-size="13">{xlabel}</text>'
     )
-    px = sx(x).tolist()
+    # pixels lie in [MARGIN, WIDTH - MARGIN] x [MARGIN, HEIGHT - MARGIN], so
+    # three integer digits always suffice; "x,y x,y ..." is each row of x and
+    # y tokens with the 0 bytes dropped, less the final space
+    x_tokens = _tokens(_hundredths(sx(x)), ",")
     for k, ((label, _), y) in enumerate(zip(curves, ys)):
         color = COLORS[k % len(COLORS)]
-        pts = " ".join("%.2f,%.2f" % pair for pair in zip(px, sy(y).tolist()))
+        buf = np.hstack([x_tokens, _tokens(_hundredths(sy(y)), " ")]).ravel()
+        pts = buf[buf != 0].tobytes().decode("ascii")[:-1]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{WIDTH - MARGIN - 10}" y="{MARGIN + 18 * (k + 1)}" text-anchor="end" '

@@ -395,6 +395,9 @@ class TestCliErrors:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
+        # s* in significant digits, not 301 of them in fixed point
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 80 and "s_star=1e+300" in lines[0]
         table = read_solution_csv(tmp_path / "solution.csv")
         assert len(table) == 2 and abs(table.fp[-1] - 1.0) <= 1e-10
         assert table.fpp[0] == pytest.approx(1e300, rel=1e-12)

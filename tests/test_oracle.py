@@ -5,7 +5,8 @@ import pytest
 
 from blasius_pinn import oracle
 from blasius_pinn.grad import DivergenceError
-from blasius_pinn.oracle import SHOOT_TOL, SolutionTable, backward_blowup, rk4_shoot, shoot
+from blasius_pinn.oracle import (CSV_BLOCK, SHOOT_TOL, SolutionTable, backward_blowup, rk4_shoot,
+                                 shoot)
 from oracle_reference import (backward_blowup_reference, blowup_reference,
                               integrate_end_reference, order_slope, read_solution_csv,
                               rk4_shoot_reference, shoot_reference)
@@ -288,12 +289,15 @@ def test_solution_table_csv_round_trip(tmp_path, shoot_result):
     assert header == "eta,f,fp,fpp,residual"
 
 
-def test_csv_bytes_match_the_per_value_formatting(tmp_path):
-    # 5,000 rows cross a block boundary; -0.0, the smallest subnormal and
-    # 1e300 test the 17-digit formatting at its edges
+@pytest.mark.parametrize("rows", [1, CSV_BLOCK, CSV_BLOCK + 1, 5000])
+def test_csv_bytes_match_the_per_value_formatting(tmp_path, rows):
+    # tables of one block, one row past it and a partial second block; -0.0,
+    # the smallest subnormal and 1e300 test the 17-digit formatting at its
+    # edges, on both sides of a block boundary where the table has one
     rng = np.random.default_rng(0)
-    cols = [rng.standard_normal(5000) * 10.0 ** rng.integers(-20, 20, 5000) for _ in range(5)]
-    cols[1][[0, 4095, 4096]] = (-0.0, 5e-324, 1e300)
+    cols = [rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows) for _ in range(5)]
+    edges = [i for i in (0, CSV_BLOCK - 1, CSV_BLOCK) if i < rows]
+    cols[1][edges] = (-0.0, 5e-324, 1e300)[:len(edges)]
     table = SolutionTable(*cols)
     path = tmp_path / "table.csv"
     table.to_csv(path)

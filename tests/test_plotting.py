@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blasius_pinn.oracle import SolutionTable
-from blasius_pinn.plotting import plot_solution_table, write_curves_svg
+from blasius_pinn.plotting import _hundredths, plot_solution_table, write_curves_svg
 from writer_reference import polyline_reference
 
 
@@ -36,16 +36,34 @@ def test_empty_inputs_rejected(tmp_path):
     assert not (tmp_path / "x.svg").exists()
 
 
-def test_polylines_match_the_per_value_formatting(tmp_path):
-    rng = np.random.default_rng(1)
-    x = np.sort(rng.uniform(-3.0, 9.0, 5000))
-    curves = [("a", rng.standard_normal(5000)), ("b", np.cumsum(rng.standard_normal(5000)))]
-    curves[0][1][[0, 1, 2]] = (-0.0, 5e-324, 1e300)
+@pytest.mark.parametrize("inputs", ["random", "oracle_eta_max_8"])
+def test_polylines_match_the_per_value_formatting(tmp_path, request, inputs):
+    if inputs == "random":
+        rng = np.random.default_rng(1)
+        x = np.sort(rng.uniform(-3.0, 9.0, 5000))
+        curves = [("a", rng.standard_normal(5000)), ("b", np.cumsum(rng.standard_normal(5000)))]
+        curves[0][1][[0, 1, 2]] = (-0.0, 5e-324, 1e300)
+    else:
+        # sx = 60 + 75 eta (eta = i * 1e-4) puts 20,000 of these x pixels
+        # within 1e-6 of a hundredths tie, where rint of 100 sx can misround
+        t = request.getfixturevalue("shoot_result").table
+        x = np.arange(80001) * 1e-4
+        curves = [("f", t.f), ("f'", t.fp), ("f''", t.fpp)]
     path = tmp_path / "curves.svg"
     write_curves_svg(path, x, curves)
     lines = [ln for ln in path.read_text().splitlines() if ln.startswith("<polyline")]
     got = [ln.split('points="')[1].split('"')[0] for ln in lines]
     assert got == polyline_reference(x, curves)
+
+
+def test_hundredths_round_ties_as_percent_format():
+    # exact binary ties, then doubles nearest to decimal ties, whose product
+    # with 100 rounds onto the half-integer (333.335 -> 33333.5)
+    ties = np.array([60.125, 60.375, 100.375, 127.625, 333.875, 659.875,
+                     60.015, 100.005, 333.335, 612.345, 659.995])
+    v = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+                        [60.0, 660.0]])
+    assert _hundredths(v).tolist() == [int(("%.2f" % t).replace(".", "")) for t in v.tolist()]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
