@@ -6,7 +6,7 @@ Layout convention: jets are stored channel-first as float64 arrays of shape
 writes its result into `out` and its intermediates into a few rows of
 `scratch` rather than one temporary per subexpression, and forms powers by
 repeated products.  A caller that reuses both buffers across calls
-allocates nothing; one that passes neither gets fresh ones.
+allocates nothing.
 """
 
 import numpy as np
@@ -17,25 +17,21 @@ def backend_name() -> str:
 
 
 def _rows(scratch, k: int, n: int):
-    """k scratch rows of length n from the front of `scratch` (fresh when None)."""
-    if scratch is None:
-        return np.empty((k, n))
+    """k scratch rows of length n from the front of `scratch`."""
     return scratch.reshape(-1)[: k * n].reshape(k, n)
 
 
-def tanh_jet_forward(z, *, out=None, scratch=None):
+def tanh_jet_forward(z, *, out, scratch):
     """Apply tanh through an order-3 jet, elementwise.
 
     With t = tanh(z[0]), s1 = 1 - t^2, s2 = -2 t s1 and
     s3 = -2 s1 (1 - 3 t^2), the output is
     (t, s1 u1, s2 u1^2 + s1 u2, s3 u1^3 + 3 s2 u1 u2 + s1 u3).
     `out` (4, N) receives the result and `scratch` (at least 4N floats) the
-    intermediates.  Returns (out, t); t is the value row of out, kept for the
-    backward pass.
+    intermediates.  Returns out; its value row out[0] is the t that
+    tanh_jet_backward takes.
     """
     u1, u2, u3 = z[1], z[2], z[3]
-    if out is None:
-        out = np.empty_like(z)
     t = np.tanh(z[0], out=out[0])
     s1, p, w, x = _rows(scratch, 4, z.shape[1])
     np.multiply(t, t, out=w)
@@ -59,10 +55,10 @@ def tanh_jet_forward(z, *, out=None, scratch=None):
     w += x
     np.multiply(s1, u3, out=out[3])
     out[3] += w
-    return out, t
+    return out
 
 
-def tanh_jet_backward(t, z, abar, *, out=None, scratch=None):
+def tanh_jet_backward(t, z, abar, *, out, scratch):
     """Adjoint of tanh_jet_forward: map output adjoints to input adjoints.
 
     With p = s2 u1, c = s3 u1^2 + s2 u2 and s4 = s2 (12 t^2 - 8) (the third
@@ -78,7 +74,6 @@ def tanh_jet_backward(t, z, abar, *, out=None, scratch=None):
     """
     u1, u2, u3 = z[1], z[2], z[3]
     a0, a1, a2, a3 = abar
-    zbar = np.empty_like(z) if out is None else out
     s1, s2, s3, p, c, w, x = _rows(scratch, 7, z.shape[1])
     np.multiply(t, t, out=w)                    # t^2
     np.subtract(1.0, w, out=s1)
@@ -104,21 +99,21 @@ def tanh_jet_backward(t, z, abar, *, out=None, scratch=None):
     w += x
     w *= a3                                     # a3 (u1 (s4 u1^2 + 3 s3 u2) + s2 u3)
     np.multiply(a3, 3.0, out=s3)                # 3 a3; s3 is no longer needed
-    if len(zbar) == 4:
-        np.multiply(a3, s1, out=zbar[3])
-        np.multiply(a2, s1, out=zbar[2])
+    if len(out) == 4:
+        np.multiply(a3, s1, out=out[3])
+        np.multiply(a2, s1, out=out[2])
         np.multiply(s3, p, out=x)
-        zbar[2] += x
-    np.multiply(a1, s1, out=zbar[1])
+        out[2] += x
+    np.multiply(a1, s1, out=out[1])
     np.multiply(a2, p, out=x)
     x *= 2.0
-    zbar[1] += x
+    out[1] += x
     np.multiply(s3, c, out=x)
-    zbar[1] += x
-    np.multiply(a0, s1, out=zbar[0])
+    out[1] += x
+    np.multiply(a0, s1, out=out[0])
     np.multiply(a1, p, out=x)
-    zbar[0] += x
+    out[0] += x
     np.multiply(a2, c, out=x)
-    zbar[0] += x
-    zbar[0] += w
-    return zbar
+    out[0] += x
+    out[0] += w
+    return out

@@ -14,11 +14,11 @@ MARGIN = 60
 COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 
 
-def _ticks(lo: float, hi: float, n: int = 6):
+def _ticks(lo: float, hi: float):
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / (n - 1)
+    raw = span / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     start = math.ceil(lo / step) * step
@@ -33,17 +33,15 @@ def _ticks(lo: float, hi: float, n: int = 6):
 def _hundredths(v: np.ndarray) -> np.ndarray:
     """v rounded to whole hundredths, k = round(100 v), as "%.2f" % v rounds.
 
-    fl(100 v) is within 2^-37 (7.3e-12) of the exact product for v < 1000, so
-    rint rounds it correctly unless 100 v lies within 1e-6 of a half-integer.
-    There k comes from "%.2f" itself, which rounds the exact value: the
-    double nearest 333.335 lies below the tie and prints "333.33", while its
-    product with 100 rounds to 33333.5, which rint takes to 33334.
+    For 0 <= v < 2^52, v = m 2^e (frexp) gives 100 v = n / 2^s exactly, with
+    n = 100 m 2^53 < 2^63 and s = 53 - e >= 1.  Adding 2^(s-1) - 1, plus 1
+    when n >> s is odd, carries into n >> s exactly when the remainder passes
+    half or ties with n >> s odd: round half to even on the exact value.
     """
-    p = 100.0 * v
-    k = np.rint(p).astype(np.int64)
-    near = np.abs(p - np.floor(p) - 0.5) < 1e-6
-    k[near] = [int(("%.2f" % t).replace(".", "")) for t in v[near].tolist()]
-    return k
+    m, e = np.frexp(v)
+    n = 100 * (m * 2.0 ** 53).astype(np.int64)
+    s = 53 - e
+    return (n + (np.int64(1) << (s - 1)) - 1 + ((n >> s) & 1)) >> s
 
 
 def _tokens(k: np.ndarray, sep: str) -> np.ndarray:
@@ -61,7 +59,7 @@ def _tokens(k: np.ndarray, sep: str) -> np.ndarray:
     return out
 
 
-def write_curves_svg(path, x, curves, title: str = "", xlabel: str = "eta") -> None:
+def write_curves_svg(path, x, curves, title: str = "") -> None:
     """Write labeled polyline curves to an SVG file.
 
     `curves` is a list of (label, y-array); all share the x grid.
@@ -70,6 +68,9 @@ def write_curves_svg(path, x, curves, title: str = "", xlabel: str = "eta") -> N
     if x.size == 0 or not curves:
         raise ValueError("cannot plot an empty table")
     ys = [np.asarray(c, dtype=float) for _, c in curves]
+    for (label, _), y in zip(curves, ys):
+        if y.shape != x.shape:
+            raise ValueError(f"curve {label!r} has {y.size} values for {x.size} x")
     if not (np.isfinite(x).all() and all(np.isfinite(y).all() for y in ys)):
         raise ValueError("cannot plot non-finite values")
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
@@ -116,7 +117,7 @@ def write_curves_svg(path, x, curves, title: str = "", xlabel: str = "eta") -> N
         parts.append(f'<line x1="{MARGIN - 5}" y1="{py:.2f}" x2="{MARGIN}" y2="{py:.2f}" stroke="black"/>')
         parts.append(f'<text x="{MARGIN - 8}" y="{py + 4:.2f}" text-anchor="end" font-size="11">{t:g}</text>')
     parts.append(
-        f'<text x="{WIDTH / 2}" y="{HEIGHT - 15}" text-anchor="middle" font-size="13">{xlabel}</text>'
+        f'<text x="{WIDTH / 2}" y="{HEIGHT - 15}" text-anchor="middle" font-size="13">eta</text>'
     )
     # pixels lie in [MARGIN, WIDTH - MARGIN] x [MARGIN, HEIGHT - MARGIN], so
     # three integer digits always suffice; "x,y x,y ..." is each row of x and
@@ -137,7 +138,5 @@ def write_curves_svg(path, x, curves, title: str = "", xlabel: str = "eta") -> N
 
 
 def plot_solution_table(table, path, title: str = "Blasius solution") -> None:
-    if len(table) == 0:
-        raise ValueError("cannot plot an empty table")
     curves = [("f", table.f), ("f'", table.fp), ("f''", table.fpp)]
     write_curves_svg(path, table.eta, curves, title=title)

@@ -134,7 +134,10 @@ def test_criterion_07_jet_correctness():
 
     pa = 0.5 * x ** 3 - 1.2 * x + 0.3
     pb = 2.0 * x ** 2 + x - 1.0
-    worst_kernel = max(worst_rel(kernels.tanh_jet_forward(sym_jets(e))[0], sym_jets(sp.tanh(e)))
+    n = len(points)
+    worst_kernel = max(worst_rel(kernels.tanh_jet_forward(sym_jets(e), out=np.empty((4, n)),
+                                                          scratch=np.empty(4 * n)),
+                                 sym_jets(sp.tanh(e)))
                        for e in (pa, pb))
 
     # depth 2, width 2; per layer the weights (fan_out x fan_in), then the biases

@@ -58,12 +58,21 @@ def test_polylines_match_the_per_value_formatting(tmp_path, request, inputs):
 
 def test_hundredths_round_ties_as_percent_format():
     # exact binary ties, then doubles nearest to decimal ties, whose product
-    # with 100 rounds onto the half-integer (333.335 -> 33333.5)
-    ties = np.array([60.125, 60.375, 100.375, 127.625, 333.875, 659.875,
-                     60.015, 100.005, 333.335, 612.345, 659.995])
+    # with 100 rounds onto the half-integer (333.335 -> 33333.5), then every
+    # 7th hundredths tie across the pixel range, and uniform pixels
+    ties = np.concatenate([[60.125, 60.375, 100.375, 127.625, 333.875, 659.875,
+                            60.015, 100.005, 333.335, 612.345, 659.995],
+                           (np.arange(6000, 66001, 7) + 0.5) / 100])
+    uniform = np.random.default_rng(3).uniform(60.0, 660.0, 10 ** 5)
     v = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
-                        [60.0, 660.0]])
+                        [60.0, 660.0], uniform])
     assert _hundredths(v).tolist() == [int(("%.2f" % t).replace(".", "")) for t in v.tolist()]
+
+
+def test_curve_lengths_must_match_x(tmp_path):
+    with pytest.raises(ValueError, match=r"^curve 'a' has 3 values for 5 x$"):
+        write_curves_svg(tmp_path / "short.svg", np.arange(5.0), [("b", np.ones(5)), ("a", np.ones(3))])
+    assert not (tmp_path / "short.svg").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

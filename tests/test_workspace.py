@@ -60,7 +60,8 @@ def test_kernels_into_buffers_give_the_allocating_bytes():
     rng = np.random.default_rng(0)
     z, abar = rng.normal(size=(4, 300)) * 1.5, rng.normal(size=(4, 300))
     out, scratch = np.full((4, 300), np.nan), np.full(7 * 300, np.nan)
-    a, t = kernels.tanh_jet_forward(z, out=out, scratch=scratch)
+    a = kernels.tanh_jet_forward(z, out=out, scratch=scratch)
+    t = a[0]
     want_a, want_t = tanh_jet_forward_alloc(z)
     assert a is out and np.array_equal(a, want_a) and np.array_equal(t, want_t)
     want_zbar = tanh_jet_backward_alloc(t, z, abar)
