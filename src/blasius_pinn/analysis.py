@@ -168,7 +168,9 @@ def probe_negative(
     c = float(wall[2, 0])
     p_ext, report = train(cfg_net, cfg_adam, cfg_lbfgs, grid, pin=c)
 
-    edge = np.arange(grid.eta0, max(grid.eta0, EDGE_END) + 1e-12, EDGE_STEP)
+    # eta0 alone from EDGE_END on: an arange to eta0 + 1e-12 is empty past 2^14
+    edge = (np.arange(grid.eta0, EDGE_END + 1e-12, EDGE_STEP) if grid.eta0 < EDGE_END
+            else np.array([grid.eta0]))
     y_edge = forward_jet_batch(p_ext, edge)
     onset, med = growth_onset(p_ext, grid.eta0, grid.eta_m)
     sing = SingularityReport(

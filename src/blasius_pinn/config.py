@@ -28,29 +28,13 @@ from .analysis import probe_points
 from .loss import CollocationGrid
 from .network import NetworkConfig, check_workspace
 from .optim import AdamConfig, LbfgsConfig
-from .oracle import ETA_FLOOR, coarse_step, step_count
+from .oracle import OracleSpec
 
 MODES = ("train", "solve-oracle", "compare", "probe-negative", "export")
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class OracleSpec:
-    h: float = 1e-4
-    eta_max: float = 8.0
-    blowup_h: float = 1e-5
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not getattr(self, f.name) > 0.0:
-                raise ValueError(f"{f.name} must be positive")
-        if step_count(self.h, self.eta_max) < 1:
-            raise ValueError("eta_max / h must round to at least 1 RK4 step")
-        step_count(coarse_step(self.h, self.eta_max), self.eta_max)
-        step_count(self.blowup_h, ETA_FLOOR)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ analytic continuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -81,6 +81,24 @@ def coarse_step(h: float, eta_max: float) -> float:
     """Step of shoot's normalised march: 10 h, capped at 1e-2 and at eta_max
     so that the march takes at least one step."""
     return min(10.0 * h, 1e-2, eta_max)
+
+
+@dataclass(frozen=True)
+class OracleSpec:
+    """shoot's h and eta_max and backward_blowup's h, within MAX_STEPS."""
+
+    h: float = 1e-4
+    eta_max: float = 8.0
+    blowup_h: float = 1e-5
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise ValueError(f"{f.name} must be positive")
+        if step_count(self.h, self.eta_max) < 1:
+            raise ValueError("eta_max / h must round to at least 1 RK4 step")
+        step_count(coarse_step(self.h, self.eta_max), self.eta_max)
+        step_count(self.blowup_h, ETA_FLOOR)
 
 
 def _march(f, fp, fpp, h, steps, limit):
@@ -178,7 +196,10 @@ def _scaled_root(step: float, eta_max: float) -> float:
         if not t_next < t:
             break
         t = t_next
-    return ((xi + t) / eta_max) ** 3
+    try:
+        return ((xi + t) / eta_max) ** 3
+    except OverflowError:
+        raise DivergenceError(f"f''(0) overflows at eta_max = {eta_max:g}") from None
 
 
 def shoot(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
@@ -191,13 +212,8 @@ def shoot(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
     g(s) = f'(eta_max; s) - 1 at step h starts from s* and the g its table
     measured, and its root is tabulated; `iterations` counts its iterations.
     """
-    if not eta_max > 0.0:
-        raise ValueError("eta_max must be positive")
-    if step_count(h, eta_max) < 1:
-        raise ValueError("eta_max / h must round to at least 1 RK4 step")
-    coarse = coarse_step(h, eta_max)
-    step_count(coarse, eta_max)     # the march's work bound, as OracleSpec checks it
-    s_star = _scaled_root(coarse, eta_max)
+    OracleSpec(h=h, eta_max=eta_max)      # raises ValueError as the config would
+    s_star = _scaled_root(coarse_step(h, eta_max), eta_max)
     table = rk4_shoot(s_star, h, eta_max)
     # the table's last node is _integrate_end(s_star, h, eta_max), bit for bit
     g0 = float(table.fp[-1]) - 1.0

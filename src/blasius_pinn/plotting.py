@@ -15,19 +15,17 @@ COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 
 
 def _ticks(lo: float, hi: float):
-    span = hi - lo
-    if span <= 0:
+    """The k * step in [lo, hi + 1e-12 (hi - lo)] for integer k, step the least
+    of 1, 2, 5 and 10 times 10^n at or above (hi - lo) / 5.  A span whose fifth
+    is subnormal or under 2^-50 max(|lo|, |hi|) gets the one tick lo: there the
+    fifth has lost bits, or lo / step rounds by whole steps."""
+    raw = (hi - lo) / 5
+    if not raw >= max(2.0 ** -50 * max(abs(lo), abs(hi)), 2.0 ** -1022):
         return [lo]
-    raw = span / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
-    start = math.ceil(lo / step) * step
-    out = []
-    t = start
-    while t <= hi + 1e-12 * span:
-        out.append(round(t, 12))
-        t += step
-    return out
+    first, last = math.ceil(lo / step), math.floor(hi / step + 1e-12 * (hi - lo) / step)
+    return [k * step for k in range(first, last + 1)]
 
 
 def _hundredths(v: np.ndarray) -> np.ndarray:
@@ -74,13 +72,12 @@ def write_curves_svg(path, x, curves, title: str = "") -> None:
     if not (np.isfinite(x).all() and all(np.isfinite(y).all() for y in ys)):
         raise ValueError("cannot plot non-finite values")
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
-    # numpy scalars, not floats: _ticks rounds the y ticks with round(), and
-    # numpy's round can land one ulp away from float's
-    y_lo, y_hi = min(np.min(y) for y in ys), max(np.max(y) for y in ys)
+    y_lo, y_hi = float(min(np.min(y) for y in ys)), float(max(np.max(y) for y in ys))
     if x_hi == x_lo:
         raise ValueError("degenerate x range")
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        # past 2^53, y_lo + 1.0 rounds back to y_lo
+        y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):

@@ -8,6 +8,7 @@ import pytest
 from conftest import exact_growth_onset, exact_profile
 
 import blasius_pinn
+from blasius_pinn import analysis
 from blasius_pinn.analysis import (
     TABULATE_BLOCK,
     compare,
@@ -17,6 +18,7 @@ from blasius_pinn.analysis import (
     onset_from_profile,
     pole_from_profile,
     probe_negative,
+    probe_points,
     tabulate,
 )
 from blasius_pinn.loss import CollocationGrid, loss_total
@@ -211,3 +213,28 @@ def test_probe_negative_short_grid_completes():
     # stopping at the iteration cap is not convergence
     assert sing.report.lbfgs_status == "max_iters"
     assert not sing.converged
+
+
+@pytest.mark.parametrize("grid", [
+    CollocationGrid(-4.5, 7.0, 100),
+    CollocationGrid(-5.69, 7.0, 100),
+    CollocationGrid(-1.0, 3.0, 20),
+    CollocationGrid(1e5, 1e5 + 1, 10),     # past 2^14 the edge is eta0 alone
+    CollocationGrid(-20.0, 30.0, 50),
+], ids=lambda g: f"{g.eta0:g}_{g.eta_m:g}_{g.n}")
+def test_probe_points_bounds_every_probe_pass(monkeypatch, grid):
+    # RunConfig sizes the jet workspace by probe_points; each lattice
+    # probe_negative forwards must fit in it
+    sizes = []
+
+    def recording(p, eta, **kw):
+        sizes.append(np.size(eta))
+        return forward_jet_batch(p, eta, **kw)
+
+    monkeypatch.setattr(analysis, "forward_jet_batch", recording)
+    net = NetworkConfig(depth=1, width=4, seed=0)
+    _, sing = probe_negative(init_params(net), net, AdamConfig(max_steps=1),
+                             LbfgsConfig(max_iters=1), grid)
+    assert np.isfinite(sing.max_abs_f_edge) and np.isfinite(sing.max_abs_residual_edge)
+    assert len(sizes) == 4      # the wall, the edge and growth_onset's two lattices
+    assert max(sizes) <= probe_points(grid)

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 
@@ -363,7 +364,11 @@ class TestCliErrors:
         ("export", "paths.checkpoint_in = ck.txt\n"),
         # an Adam step that overflows the parameters
         ("train", FAST_TRAIN + "adam.base_lr = 1e300\n"),
-    ], ids=["export", "train"])
+        # accepted by the config, but s* = 1 / eta_max = 1e310 is past the
+        # float range
+        ("solve-oracle", "oracle.eta_max = 1e-310\noracle.h = 1e-310\n"),
+        ("compare", "paths.checkpoint_in = ck.txt\noracle.eta_max = 1e-310\noracle.h = 1e-310\n"),
+    ], ids=["export", "train", "solve-oracle_wall_curvature", "compare_wall_curvature"])
     def test_overflowing_network_exits_3(self, tmp_path, mode, text):
         # no table, no plot, no checkpoint
         net = NetworkConfig(1, 100, 0)
@@ -381,6 +386,29 @@ class TestCliErrors:
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert sorted(f.name for f in tmp_path.iterdir()) == ["ck.txt", "run.cfg"]
+
+    @pytest.mark.parametrize("grid", [
+        # 1e17 + 5 == 1e17: a tick loop stepping by 5 would never end
+        "grid.eta0 = 1e17\ngrid.eta_m = 1.0000000000000002e17\n",
+        # a span whose fifth underflows to 0
+        "grid.eta0 = 0\ngrid.eta_m = 5e-324\n",
+    ], ids=["eta0_1e17", "eta_m_5e-324"])
+    def test_export_plot_of_a_tiny_span_exits_0(self, tmp_path, grid):
+        net = NetworkConfig(1, 4, 0)
+        save_checkpoint(tmp_path / "ck.txt", net, init_params(net))
+        cfg = write_cfg(tmp_path, "paths.checkpoint_in = ck.txt\npaths.plot_out = sol.svg\n"
+                                  "grid.n = 2\n" + grid)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(blasius_pinn.__file__)))
+        # the address-space cap stops a runaway tick list before it takes the machine's memory
+        proc = subprocess.run(
+            [sys.executable, "-m", "blasius_pinn.cli", "export", "--config", cfg, "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        svg = (tmp_path / "sol.svg").read_text()
+        assert svg.count("<polyline") == 3 and "nan" not in svg
 
     def test_smallest_domain_exits_0_within_seconds(self, tmp_path):
         # accepted by the config (one RK4 step); s* = 1 / eta_max = 1e300, and

@@ -1,8 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from blasius_pinn.oracle import SolutionTable
-from blasius_pinn.plotting import _hundredths, plot_solution_table, write_curves_svg
+from blasius_pinn.plotting import _hundredths, _ticks, plot_solution_table, write_curves_svg
 from writer_reference import polyline_reference
 
 
@@ -91,3 +96,41 @@ def test_non_finite_values_rejected(tmp_path, bad):
     with pytest.raises(ValueError, match="non-finite|wider"):
         write_curves_svg(tmp_path / "bad.svg", x, [("y", y)])
     assert not (tmp_path / "bad.svg").exists()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(finite, finite)
+@example(1e17, 1e17 + 16)                           # 1e17 + 5 == 1e17
+@example(0.0, 5e-324)                               # the span's fifth is 0
+@example(4.4e-323, 8e-323)                          # its fifth is a rounded subnormal
+@example(0.0, 1.7976931348623157e308)               # hi + 1e-12 (hi - lo) is inf
+@example(-1.7976931348623157e308, 0.0)
+def test_ticks_are_few_increasing_and_inside_the_range(a, b):
+    lo, hi = min(a, b), max(a, b)
+    assume(lo < hi and math.isfinite(hi - lo))
+    ticks = _ticks(lo, hi)
+    assert 1 <= len(ticks) <= 7
+    assert all(t0 < t1 for t0, t1 in zip(ticks, ticks[1:]))
+    # k * step rounds once, and k may be one off where lo / step rounds
+    slack = 2 * math.ulp(max(abs(lo), abs(hi)))
+    assert lo - slack <= ticks[0] and ticks[-1] <= hi + 1e-12 * (hi - lo) + slack
+
+
+def test_ticks_step_by_one_two_or_five():
+    assert _ticks(0.0, 8.0) == [0.0, 2.0, 4.0, 6.0, 8.0]
+    assert _ticks(-4.5, 7.0) == [0.0, 5.0]
+    assert _ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0]
+    assert _ticks(3.0, 3.0) == [3.0]
+
+
+def test_constant_curve_past_2_53(tmp_path):
+    # y + 1.0 == y there: the y range must still widen, or every pixel is nan
+    path = tmp_path / "flat.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_curves_svg(path, np.arange(5.0), [("a", np.full(5, 1e17))])
+    text = path.read_text()
+    assert "nan" not in text and ">1e+17</text>" in text
