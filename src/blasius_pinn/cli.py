@@ -24,7 +24,7 @@ from .grad import DivergenceError
 from .network import check_workspace, load_checkpoint, save_checkpoint
 from .optim import TrainingReport, train
 from .oracle import SolutionTable, backward_blowup, shoot
-from .plotting import plot_solution_table
+from .plotting import plot_limits, plot_solution_table, solution_curves
 
 
 def _umask() -> int:
@@ -79,6 +79,16 @@ def _write_loss_curve(path, report: TrainingReport) -> None:
             fh.write(f"lbfgs,{it},{f:.17g}\n")
 
 
+def _check_plot(paths: PathsSpec, table: SolutionTable) -> None:
+    """Raise DivergenceError if paths.plot_out is set and the table cannot be
+    plotted; called before a mode writes any file."""
+    if paths.plot_out:
+        try:
+            plot_limits(table.eta, solution_curves(table))
+        except ValueError as err:
+            raise DivergenceError(f"cannot plot the table: {err}") from err
+
+
 def _write_table(paths: PathsSpec, table: SolutionTable, title: str) -> None:
     """The table as paths.csv_out, and as an SVG plot if paths.plot_out is set."""
     _atomic(paths.csv_out, table.to_csv)
@@ -89,6 +99,7 @@ def _write_table(paths: PathsSpec, table: SolutionTable, title: str) -> None:
 def _cmd_train(cfg: RunConfig) -> int:
     p, report = train(cfg.network, cfg.adam, cfg.lbfgs, cfg.grid)
     table = tabulate(p, cfg.grid.points)     # before any write: it may diverge
+    _check_plot(cfg.paths, table)
     _atomic(cfg.paths.checkpoint_out, lambda tmp: save_checkpoint(tmp, cfg.network, p))
     _atomic(cfg.paths.report_out, lambda tmp: _write_training_report(tmp, report))
     _atomic(cfg.paths.curve_out, lambda tmp: _write_loss_curve(tmp, report))
@@ -100,6 +111,7 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 def _cmd_solve_oracle(cfg: RunConfig) -> int:
     res = shoot(h=cfg.oracle.h, eta_max=cfg.oracle.eta_max)
+    _check_plot(cfg.paths, res.table)
     _write_table(cfg.paths, res.table, "Shooting solution")
     print(f"ok mode=solve-oracle s_star={res.s_star:.9g} h={res.h:g} "
           f"iterations={res.iterations}")
@@ -140,6 +152,7 @@ def _cmd_probe_negative(cfg: RunConfig) -> int:
     p_ext, sing = probe_negative(p_prev, cfg.network, cfg.adam, cfg.lbfgs, cfg.probe)
     blowup_eta = backward_blowup(sing.pin_value, cfg.oracle.blowup_h)
     table = tabulate(p_ext, cfg.probe.points)   # before any write: it may diverge
+    _check_plot(cfg.paths, table)
     _atomic(cfg.paths.checkpoint_out, lambda tmp: save_checkpoint(tmp, cfg.network, p_ext))
     _write_table(cfg.paths, table, "Negative-axis extension")
     pairs = [
@@ -167,6 +180,7 @@ def _cmd_probe_negative(cfg: RunConfig) -> int:
 def _cmd_export(cfg: RunConfig) -> int:
     _, p = _require_checkpoint(cfg)
     table = tabulate(p, cfg.grid.points)
+    _check_plot(cfg.paths, table)
     _write_table(cfg.paths, table, "PINN solution")
     print(f"ok mode=export rows={len(table)}")
     return 0

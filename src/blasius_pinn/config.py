@@ -27,7 +27,7 @@ from typing import get_type_hints
 from .analysis import probe_points
 from .loss import CollocationGrid
 from .network import NetworkConfig, check_workspace
-from .optim import AdamConfig, LbfgsConfig
+from .optim import AdamConfig, LbfgsConfig, lbfgs_pair_bytes
 from .oracle import OracleSpec
 
 MODES = ("train", "solve-oracle", "compare", "probe-negative", "export")
@@ -74,8 +74,10 @@ class RunConfig:
     def __post_init__(self):
         if self.mode and self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}")
-        # the largest single forward pass of train or probe-negative
-        check_workspace(self.network, max(self.grid.n + 2, probe_points(self.probe)))
+        # the largest single forward pass of train or probe-negative, and
+        # the L-BFGS pairs held beside it
+        check_workspace(self.network, max(self.grid.n + 2, probe_points(self.probe)),
+                        held=lbfgs_pair_bytes(self.network))
 
 
 def replace_section(cfg: RunConfig, name: str, **values) -> RunConfig:

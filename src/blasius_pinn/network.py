@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .textfmt import format_g17
 
 CHECKPOINT_MAGIC = "blasius-pinn-checkpoint v1"
 MAX_PARAMS = 10 ** 7       # larger networks are rejected before any allocation
@@ -136,14 +137,15 @@ def workspace_bytes(cfg: NetworkConfig, n: float) -> float:
     return 8 * n * (1 + 4 * (dw + 1) + 4 * dw + 15 * cfg.width)
 
 
-def check_workspace(cfg: NetworkConfig, n: float) -> None:
-    """Raise ValueError if a workspace for n points of cfg's network would
-    take more than MAX_WORKSPACE_BYTES.  n may be a float bound, inf
-    included."""
+def check_workspace(cfg: NetworkConfig, n: float, held: float = 0.0) -> None:
+    """Raise ValueError if a workspace for n points of cfg's network, with
+    `held` bytes of optimizer state beside it, would take more than
+    MAX_WORKSPACE_BYTES.  n may be a float bound, inf included."""
     need = workspace_bytes(cfg, n)
-    if not need <= MAX_WORKSPACE_BYTES:
+    if not need + held <= MAX_WORKSPACE_BYTES:
+        extra = f" and {held / 2 ** 30:.3g} GiB of optimizer state" if held else ""
         raise ValueError(f"{n:.0f} points of a depth-{cfg.depth}, width-{cfg.width} network "
-                         f"need a {need / 2 ** 30:.3g} GiB jet workspace; at most "
+                         f"need a {need / 2 ** 30:.3g} GiB jet workspace{extra}; at most "
                          f"{MAX_WORKSPACE_BYTES / 2 ** 30:g} GiB is allowed")
 
 
@@ -233,10 +235,9 @@ def backward_jet_batch(p: ParamVector, ws: Workspace, ybar: np.ndarray) -> np.nd
 
 def save_checkpoint(path, cfg: NetworkConfig, p: ParamVector) -> None:
     """Text checkpoint; 17 significant digits round-trips float64 exactly."""
-    lines = [CHECKPOINT_MAGIC, f"{cfg.depth} {cfg.width} {cfg.seed}"]
-    lines.extend(f"{x:.17g}" for x in p.values)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{CHECKPOINT_MAGIC}\n{cfg.depth} {cfg.width} {cfg.seed}\n")
+        fh.write(format_g17(p.values, "\n"))
 
 
 def load_checkpoint(path) -> tuple[NetworkConfig, ParamVector]:

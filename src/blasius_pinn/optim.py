@@ -28,6 +28,12 @@ WOLFE_C2 = 0.9               # curvature
 MAX_LINE_EVALS = 25          # trial steps per line search
 
 
+def lbfgs_pair_bytes(cfg: NetworkConfig) -> int:
+    """Bytes of the LBFGS_MEMORY (s, y) pairs lbfgs_minimize keeps for cfg's
+    network."""
+    return 2 * LBFGS_MEMORY * 8 * cfg.param_count()
+
+
 @dataclass(frozen=True)
 class AdamConfig:
     base_lr: float = 1e-3

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grad import DivergenceError
+from .textfmt import format_g17
 
 OVERFLOW_LIMIT = 1e12       # |f| beyond this is reported as divergence
 BLOWUP_LIMIT = 1e8          # |f| threshold for the negative-axis probe
@@ -27,7 +28,6 @@ MAX_STEPS = 10 ** 7         # RK4 steps one integration may be asked for
 # away: sixty or more coarse steps of at most 1e-2.
 BLOWUP_COARSE_F = 10.0
 CSV_BLOCK = 4096            # rows formatted per write in SolutionTable.to_csv
-_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 
 @dataclass
@@ -44,15 +44,15 @@ class SolutionTable:
         return self.eta.size
 
     def to_csv(self, path) -> None:
-        """17 significant digits per value.  Each block of CSV_BLOCK rows is
-        formatted by one % of the repeated row format, so the Python floats
-        alive at once do not grow with the table."""
+        """Each value as '%.17g' formats it.  The rows are formatted and
+        written CSV_BLOCK at a time, so the text held at once does not grow
+        with the table."""
         cols = (self.eta, self.f, self.fp, self.fpp, self.residual)
         with open(path, "w") as fh:
             fh.write("eta,f,fp,fpp,residual\n")
             for lo in range(0, len(self), CSV_BLOCK):
                 block = np.stack([c[lo : lo + CSV_BLOCK] for c in cols], axis=1)
-                fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+                fh.write(format_g17(block, ",,,,\n"))
 
 
 @dataclass

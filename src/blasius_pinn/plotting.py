@@ -57,11 +57,11 @@ def _tokens(k: np.ndarray, sep: str) -> np.ndarray:
     return out
 
 
-def write_curves_svg(path, x, curves, title: str = "") -> None:
-    """Write labeled polyline curves to an SVG file.
-
-    `curves` is a list of (label, y-array); all share the x grid.
-    """
+def plot_limits(x, curves):
+    """x and the curves' y values as float arrays, and the plot's x_lo, x_hi
+    and padded y_lo, y_hi.  Raises ValueError for what cannot be plotted: no
+    values, a curve that does not match x, a non-finite value, a single x, or
+    a range wider than the largest float."""
     x = np.asarray(x, dtype=float)
     if x.size == 0 or not curves:
         raise ValueError("cannot plot an empty table")
@@ -82,6 +82,15 @@ def write_curves_svg(path, x, curves, title: str = "") -> None:
     y_lo, y_hi = y_lo - pad, y_hi + pad
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
         raise ValueError("cannot plot a range wider than the largest float")
+    return x, ys, (x_lo, x_hi, y_lo, y_hi)
+
+
+def write_curves_svg(path, x, curves, title: str = "") -> None:
+    """Write labeled polyline curves to an SVG file.
+
+    `curves` is a list of (label, y-array); all share the x grid.
+    """
+    x, ys, (x_lo, x_hi, y_lo, y_hi) = plot_limits(x, curves)
 
     # also applied to whole arrays: elementwise numpy arithmetic in this
     # order gives each pixel the same double as the scalar formula
@@ -134,6 +143,9 @@ def write_curves_svg(path, x, curves, title: str = "") -> None:
         fh.write("\n".join(parts) + "\n")
 
 
+def solution_curves(table) -> list:
+    return [("f", table.f), ("f'", table.fp), ("f''", table.fpp)]
+
+
 def plot_solution_table(table, path, title: str = "Blasius solution") -> None:
-    curves = [("f", table.f), ("f'", table.fp), ("f''", table.fpp)]
-    write_curves_svg(path, table.eta, curves, title=title)
+    write_curves_svg(path, table.eta, solution_curves(table), title=title)

@@ -90,6 +90,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="jet workspace"):
             parse_config(lines[0])
 
+    def test_lbfgs_pairs_count_toward_the_memory_bound(self):
+        # 9,706,201 parameters: the default probe's jet workspace takes 1.97
+        # GiB, under the bound, but L-BFGS would keep 2.89 GiB of (s, y)
+        # pairs beside it; parsing allocates neither
+        with pytest.raises(ConfigError, match="2.89 GiB of optimizer state"):
+            parse_config("network.depth = 80\nnetwork.width = 350\n")
+
     def test_key_table(self):
         # a new config key is a reviewed change to this list
         assert sorted(_KEY_TYPES) == [
@@ -385,6 +392,23 @@ class TestCliErrors:
         assert proc.stderr.startswith("error: divergence:")
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["ck.txt", "run.cfg"]
+
+    def test_plot_range_past_the_float_range_exits_3(self, tmp_path):
+        # f = 1.7e308 everywhere, f' = f'' = 0 and residual 0: a finite
+        # table whose y range padded by 5% overflows; no CSV without its SVG
+        net = NetworkConfig(1, 1, 0)
+        save_checkpoint(tmp_path / "ck.txt", net,
+                        ParamVector(np.array([0.0, 0.0, 0.0, 1.7e308]), net.layer_shapes()))
+        cfg = write_cfg(tmp_path, "paths.checkpoint_in = ck.txt\npaths.plot_out = sol.svg\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(blasius_pinn.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "blasius_pinn.cli", "export", "--config", cfg, "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: divergence:")
+        assert proc.stderr.count("\n") == 1, proc.stderr
         assert sorted(f.name for f in tmp_path.iterdir()) == ["ck.txt", "run.cfg"]
 
     @pytest.mark.parametrize("grid", [

@@ -145,6 +145,18 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert p2.shapes == p.shapes
 
 
+def test_checkpoint_bytes_match_the_per_value_formatting(tmp_path):
+    # the default shape, with values the bulk formatter hands to % (5e-324,
+    # 1e300, 1e17) or treats apart (-0.0)
+    cfg = NetworkConfig()
+    p = init_params(cfg)
+    p.values[:4] = [-0.0, 5e-324, 1e300, 1e17]
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(path, cfg, p)
+    want = "blasius-pinn-checkpoint v1\n2 100 0\n" + "".join(f"{x:.17g}\n" for x in p.values)
+    assert path.read_text() == want
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a checkpoint\n1 2 3\n")
