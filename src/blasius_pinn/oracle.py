@@ -27,6 +27,9 @@ MAX_STEPS = 10 ** 7         # RK4 steps one integration may be asked for
 # the pole f ~ 6/(eta - eta_s), so |f| <= 10 keeps the pole at least ~0.6
 # away: sixty or more coarse steps of at most 1e-2.
 BLOWUP_COARSE_F = 10.0
+# Past that, an approach step of backward_blowup is at most this over |f|:
+# 1% of the distance 6 / |f| left to the pole.
+BLOWUP_APPROACH = 0.01 * 6.0
 CSV_BLOCK = 4096            # rows formatted per write in SolutionTable.to_csv
 
 
@@ -240,9 +243,15 @@ def backward_blowup(s: float, h: float) -> float | None:
     Returns the last node -i h reached before blow-up, an estimate of the
     singularity of the analytic continuation on the negative axis, or None
     if |f| stays below the limit down to ETA_FLOOR.  The node lies within
-    about one step h of the pole, on either side.  Steps of k h
-    (k = round(1e-2 / h), between 1 and 100) cross the smooth stretch while
-    |f| <= BLOWUP_COARSE_F; steps of h go on from the last coarse node.
+    about one step h of the pole, on either side.  Every node is on the
+    lattice -i h, in three phases:
+    - coarse: steps of k h (k = round(1e-2 / h), between 1 and 100) cross
+      the smooth stretch while |f| <= BLOWUP_COARSE_F;
+    - approach: from the last coarse node, while |f| >= 1, steps of m h with
+      m = min(k, floor(BLOWUP_APPROACH / (|f| h))), 1% of the distance
+      6 / |f| that the Laurent term f ~ 6 / (eta - eta_s) gives, until m < 2,
+      the next step would pass ETA_FLOOR or a step passes the limit;
+    - fine: steps of h go on from there to the last node before |f| > 1e8.
     Raises ValueError unless -ETA_FLOOR / h is at most MAX_STEPS.
     """
     last = step_count(h, ETA_FLOOR)
@@ -254,6 +263,16 @@ def backward_blowup(s: float, h: float) -> float | None:
     k = max(1, min(100, round(1e-2 / h)))
     n, state = _last(_march(0.0, 0.0, s, -k * h, last // k, BLOWUP_COARSE_F))
     i = (n - 1) * k
+    # |f| >= 1 keeps the Laurent distance defined: it is 0 at the wall, and
+    # below 1 where the coarse pass ran out at ETA_FLOOR
+    while abs(state[0]) >= 1.0:
+        m = min(k, int(BLOWUP_APPROACH / (abs(state[0]) * h)))
+        if m < 2 or i + m > last:
+            break
+        n, end = _last(_march(*state, -m * h, 1, BLOWUP_LIMIT))
+        if n < 2:
+            break
+        state, i = end, i + m
     n, _ = _last(_march(*state, -h, last - i + 1, BLOWUP_LIMIT))
     if n > last - i + 1:
         return None

@@ -1,6 +1,6 @@
 """Test-side helpers for the shooting oracle: the RK4 step as a function and
 the per-step integrations, coarse-secant shooting and blow-up searches built
-on it (the byte references for oracle.py's march), the empirical convergence
+on it (the references for oracle.py's march), the empirical convergence
 order of the scheme, and a reader for the solution CSV the CLI writes."""
 
 import math
@@ -93,8 +93,10 @@ def shoot_reference(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
 
 
 def backward_blowup_reference(s: float, h: float) -> float | None:
-    """oracle.backward_blowup, one _rk4_step call per step: steps of k h while
-    |f| <= BLOWUP_COARSE_F, then steps of h."""
+    """The blow-up search without oracle.backward_blowup's approach phase,
+    one _rk4_step call per step: steps of k h while |f| <= BLOWUP_COARSE_F,
+    then steps of h.  backward_blowup must return its node, not its bytes:
+    the approach steps reach the lattice nodes by longer RK4 steps."""
     step_count(h, ETA_FLOOR)
     k = max(1, min(100, round(1e-2 / h)))
     f, fp, fpp = 0.0, 0.0, s

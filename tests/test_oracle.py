@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blasius_pinn import oracle
 from blasius_pinn.grad import DivergenceError
@@ -264,6 +266,44 @@ def test_backward_blowup_matches_fine_steps(h, slopes):
 def test_backward_blowup_matches_the_per_step_search(h):
     for s in (0.05, 0.1, 0.2, S_STAR, 1.0, 2.0):
         assert backward_blowup(s, h) == backward_blowup_reference(s, h)
+
+
+@pytest.mark.parametrize("s,h,expected", [
+    (0.0, 1e-3, None),          # f stays 0: no distance to the pole is defined
+    (5e-324, 1e-3, None),
+    (-0.33, 1e-3, None),
+    (1e9, 1e-4, -0.004),        # the first coarse step already passes |f| = 10
+    (1e12, 1e-5, -0.0004),
+    (1e6, 1e-5, -0.0394),
+])
+def test_backward_blowup_edge_inputs_match_fine_steps(s, h, expected):
+    # the approach phase starts only where |f| >= 1; at the wall f = 0
+    got = backward_blowup(s, h)
+    assert got == blowup_reference(s, h)
+    if expected is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.06, 2.5), st.floats(1e-3, 2e-2))
+def test_backward_blowup_lands_on_the_fine_step_node(s, h):
+    # at most 10 / h = 10,000 steps of h for the reference search
+    assert backward_blowup(s, h) == blowup_reference(s, h)
+
+
+# the pole of f at s*(inf), from a 50-digit Taylor march; eta_s(s) scales as
+# s^(-1/3) by Töpfer's law
+POLE_S_INF = -5.690038054522639991
+S_INF = 0.33205733621519630
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-5])
+@pytest.mark.parametrize("s", [0.2, S_INF, 1.0, 2.0])
+def test_backward_blowup_is_within_one_step_of_the_literature_pole(s, h):
+    pole = POLE_S_INF * (S_INF / s) ** (1.0 / 3.0)
+    assert abs(backward_blowup(s, h) - pole) <= h
 
 
 def test_backward_blowup_validation():
