@@ -23,13 +23,7 @@ ETA_FLOOR = -10.0
 SHOOT_TOL = 1e-10           # shoot stops once |f'(eta_max) - 1| is this small
 SHOOT_MAX_ITERS = 100       # secant (and scaled-root Newton) iterations
 MAX_STEPS = 10 ** 7         # RK4 steps one integration may be asked for
-# backward_blowup takes coarse steps while |f| stays at or below this.  Near
-# the pole f ~ 6/(eta - eta_s), so |f| <= 10 keeps the pole at least ~0.6
-# away: sixty or more coarse steps of at most 1e-2.
-BLOWUP_COARSE_F = 10.0
-# Past that, an approach step of backward_blowup is at most this over |f|:
-# 1% of the distance 6 / |f| left to the pole.
-BLOWUP_APPROACH = 0.01 * 6.0
+BLOWUP_STEP = 0.01          # backward_blowup's step, as a share of the pole distance
 CSV_BLOCK = 4096            # rows formatted per write in SolutionTable.to_csv
 
 
@@ -243,15 +237,15 @@ def backward_blowup(s: float, h: float) -> float | None:
     Returns the last node -i h reached before blow-up, an estimate of the
     singularity of the analytic continuation on the negative axis, or None
     if |f| stays below the limit down to ETA_FLOOR.  The node lies within
-    about one step h of the pole, on either side.  Every node is on the
-    lattice -i h, in three phases:
-    - coarse: steps of k h (k = round(1e-2 / h), between 1 and 100) cross
-      the smooth stretch while |f| <= BLOWUP_COARSE_F;
-    - approach: from the last coarse node, while |f| >= 1, steps of m h with
-      m = min(k, floor(BLOWUP_APPROACH / (|f| h))), 1% of the distance
-      6 / |f| that the Laurent term f ~ 6 / (eta - eta_s) gives, until m < 2,
-      the next step would pass ETA_FLOOR or a step passes the limit;
-    - fine: steps of h go on from there to the last node before |f| > 1e8.
+    about one step h of the pole, on either side, and is the node a search
+    in steps of h alone returns.  Every node is on the lattice -i h:
+    - from the wall, each step is m h with m h at most BLOWUP_STEP of the
+      distance d to the pole that the Laurent terms f ~ 6 / d and
+      f'' ~ 12 / d^3 give, 1 / d = max(|f| / 6, (|f''| / 12)^(1/3)), and at
+      most the lattice left above ETA_FLOOR, until m < 2 or a step passes
+      the limit (at the wall d = (12 / s)^(1/3), 0.58 of the pole distance
+      for every s > 0);
+    - steps of h go on from there to the last node before |f| > 1e8.
     Raises ValueError unless -ETA_FLOOR / h is at most MAX_STEPS.
     """
     last = step_count(h, ETA_FLOOR)
@@ -260,14 +254,16 @@ def backward_blowup(s: float, h: float) -> float | None:
         last -= 1
     while -(last + 1) * h > ETA_FLOOR:
         last += 1
-    k = max(1, min(100, round(1e-2 / h)))
-    n, state = _last(_march(0.0, 0.0, s, -k * h, last // k, BLOWUP_COARSE_F))
-    i = (n - 1) * k
-    # |f| >= 1 keeps the Laurent distance defined: it is 0 at the wall, and
-    # below 1 where the coarse pass ran out at ETA_FLOOR
-    while abs(state[0]) >= 1.0:
-        m = min(k, int(BLOWUP_APPROACH / (abs(state[0]) * h)))
-        if m < 2 or i + m > last:
+    state, i = (0.0, 0.0, s), 0
+    while True:
+        inv = max(abs(state[0]) / 6.0, (abs(state[2]) / 12.0) ** (1.0 / 3.0))
+        # the test is false for inv = NaN too, which then takes one step
+        # whose NaN f ends the loop
+        if not inv * h * (last - i) > BLOWUP_STEP:
+            m = last - i
+        else:
+            m = int(BLOWUP_STEP / (inv * h))
+        if m < 2:
             break
         n, end = _last(_march(*state, -m * h, 1, BLOWUP_LIMIT))
         if n < 2:

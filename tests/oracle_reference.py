@@ -8,9 +8,8 @@ import math
 import numpy as np
 
 from blasius_pinn.grad import DivergenceError
-from blasius_pinn.oracle import (BLOWUP_COARSE_F, BLOWUP_LIMIT, ETA_FLOOR, OVERFLOW_LIMIT,
-                                 SHOOT_MAX_ITERS, SHOOT_TOL, ShootingResult, SolutionTable,
-                                 coarse_step, step_count)
+from blasius_pinn.oracle import (BLOWUP_LIMIT, ETA_FLOOR, OVERFLOW_LIMIT, SHOOT_MAX_ITERS,
+                                 SHOOT_TOL, ShootingResult, SolutionTable, coarse_step, step_count)
 
 
 def _rk4_step(f, fp, fpp, h):
@@ -93,17 +92,25 @@ def shoot_reference(h: float = 1e-4, eta_max: float = 8.0) -> ShootingResult:
 
 
 def backward_blowup_reference(s: float, h: float) -> float | None:
-    """The blow-up search without oracle.backward_blowup's approach phase,
-    one _rk4_step call per step: steps of k h while |f| <= BLOWUP_COARSE_F,
-    then steps of h.  backward_blowup must return its node, not its bytes:
-    the approach steps reach the lattice nodes by longer RK4 steps."""
+    """The coarse-then-h blow-up search oracle.backward_blowup made before
+    its Laurent step rule, one _rk4_step call per step: steps of k h, with
+    k = min(100, round(1e-2 / h)), while |f| <= 10, then steps of h.  Its node
+    is the node of the search in steps of h alone (blowup_reference) for
+    slopes up to about 2.5, not for every larger one: at (s, h) =
+    (21981.849412682514, 0.00013319290534111156), (185667.46275129993,
+    2.468285411199315e-05), (172831.54356731413, 0.000285239166507794) and
+    (98656.51996932543, 6.232887726379026e-05) its coarse steps end on
+    another node.  With the approach phase it later had, it also missed at
+    (89902.44630196421, 1.9544661885078895e-05).  backward_blowup must return
+    its node where the searches agree, not its bytes: its steps reach the
+    lattice nodes by longer RK4 steps."""
     step_count(h, ETA_FLOOR)
     k = max(1, min(100, round(1e-2 / h)))
     f, fp, fpp = 0.0, 0.0, s
     i = 0
     while -(i + k) * h > ETA_FLOOR:
         fn, fpn, fppn = _rk4_step(f, fp, fpp, -k * h)
-        if not abs(fn) <= BLOWUP_COARSE_F:
+        if not abs(fn) <= 10.0:
             break
         f, fp, fpp = fn, fpn, fppn
         i += k

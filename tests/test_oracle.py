@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blasius_pinn import oracle
@@ -53,11 +53,9 @@ def test_scaled_root_matches_the_secant_root(eta_max):
     assert res.iterations == 0
 
 
-@pytest.mark.parametrize("eta_max", [1e-300, 1e-100, 1e-9, 1e-4, 1e-2, 0.5, 1.0, 8.0, 20.0])
-def test_normalised_march_takes_the_steps_of_one_coarse_integration(monkeypatch, eta_max):
-    # s* -> 1 / eta_max as eta_max -> 0, where the crossing sits at
-    # xi ~ eta_max^(2/3): an unscaled march at the coarse step would take
-    # eta_max^(-1/3) steps, 10^100 at eta_max = 1e-300
+def count_march_yields(monkeypatch) -> list:
+    """Wraps oracle._march so that each march appends the number of values
+    it yields: 3 for its start and 3 for each node it reaches."""
     yields = []
     march = oracle._march
 
@@ -68,6 +66,15 @@ def test_normalised_march_takes_the_steps_of_one_coarse_integration(monkeypatch,
             yield value
 
     monkeypatch.setattr(oracle, "_march", counted)
+    return yields
+
+
+@pytest.mark.parametrize("eta_max", [1e-300, 1e-100, 1e-9, 1e-4, 1e-2, 0.5, 1.0, 8.0, 20.0])
+def test_normalised_march_takes_the_steps_of_one_coarse_integration(monkeypatch, eta_max):
+    # s* -> 1 / eta_max as eta_max -> 0, where the crossing sits at
+    # xi ~ eta_max^(2/3): an unscaled march at the coarse step would take
+    # eta_max^(-1/3) steps, 10^100 at eta_max = 1e-300
+    yields = count_march_yields(monkeypatch)
     h = min(eta_max / 1000.0, 1e-2)
     res = shoot(h=h, eta_max=eta_max)
     # the first march is the normalised one; it yields the start and each node
@@ -269,15 +276,21 @@ def test_backward_blowup_matches_the_per_step_search(h):
 
 
 @pytest.mark.parametrize("s,h,expected", [
-    (0.0, 1e-3, None),          # f stays 0: no distance to the pole is defined
+    (0.0, 1e-3, None),          # f stays 0: 1 / d = 0, one step to ETA_FLOOR
     (5e-324, 1e-3, None),
     (-0.33, 1e-3, None),
-    (1e9, 1e-4, -0.004),        # the first coarse step already passes |f| = 10
+    (1e9, 1e-4, -0.004),        # 1% of d at the wall is under 2 h: steps of h only
     (1e12, 1e-5, -0.0004),
     (1e6, 1e-5, -0.0394),
+    # large slopes where coarse steps of the earlier search ended on another node
+    (21981.849412682514, 0.00013319290534111156, -0.14065170804021382),
+    (185667.46275129993, 2.468285411199315e-05, -0.06906262580535683),
+    (89902.44630196421, 1.9544661885078895e-05, -0.08795097848285503),
+    (172831.54356731413, 0.000285239166507794, -0.07073931329393292),
+    (98656.51996932543, 6.232887726379026e-05, -0.08526590409686507),
 ])
 def test_backward_blowup_edge_inputs_match_fine_steps(s, h, expected):
-    # the approach phase starts only where |f| >= 1; at the wall f = 0
+    # inputs where the step rule's distance d is degenerate or short
     got = backward_blowup(s, h)
     assert got == blowup_reference(s, h)
     if expected is None:
@@ -304,6 +317,31 @@ S_INF = 0.33205733621519630
 def test_backward_blowup_is_within_one_step_of_the_literature_pole(s, h):
     pole = POLE_S_INF * (S_INF / s) ** (1.0 / 3.0)
     assert abs(backward_blowup(s, h) - pole) <= h
+
+
+def test_backward_blowup_at_a_large_slope_is_within_one_step_of_the_pole():
+    # the earlier search returned -0.0710245524604407 here, 1.009 h past it
+    s, h = 172831.54356731413, 0.000285239166507794
+    pole = POLE_S_INF * (S_INF / s) ** (1.0 / 3.0)
+    assert abs(backward_blowup(s, h) - pole) <= h
+
+
+@pytest.mark.parametrize("h", [1e-6, 1e-5, 1e-4])
+@pytest.mark.parametrize("s", [0.2, S_INF, 1.0, 2.0])
+def test_backward_blowup_takes_at_most_1400_steps(monkeypatch, s, h):
+    # the step is a fixed share of the pole distance, so the count grows
+    # with log(1 / h), not with 1 / h
+    yields = count_march_yields(monkeypatch)
+    backward_blowup(s, h)
+    assert sum(n // 3 - 1 for n in yields) <= 1400
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(3.0, 7.0).map(lambda e: 10.0 ** e), st.floats(1e-5, 3e-4))
+def test_backward_blowup_at_large_slopes_lands_on_the_fine_step_node(s, h):
+    # about 10,000 steps of h at most for the reference search
+    assume(-POLE_S_INF * (S_INF / s) ** (1.0 / 3.0) / h <= 10_000)
+    assert backward_blowup(s, h) == blowup_reference(s, h)
 
 
 def test_backward_blowup_validation():
