@@ -3,9 +3,11 @@
     blasius-pinn <mode> --config <path> [--seed N] [--out DIR]
 
 Modes: train, solve-oracle, compare, probe-negative, export.
-All artifacts are written atomically (temp file + rename), so a failed run
-never leaves truncated outputs.  Exit codes: 0 success, 2 config error,
-3 numerical divergence, 4 I/O failure.
+Each mode computes and checks everything it reports, then returns its
+output files as (path, writer) pairs and its `ok` line.  Only then does main
+write the files, each atomically (temp file + rename), so a failed check
+writes nothing and a failed run never leaves truncated outputs.  Exit codes:
+0 success, 2 config error, 3 numerical divergence, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .analysis import TABULATE_BLOCK, compare, probe_negative, tabulate
 from .config import MODES, ConfigError, PathsSpec, RunConfig, load_config, replace_section
 from .grad import DivergenceError
 from .network import check_workspace, load_checkpoint, save_checkpoint
-from .optim import TrainingReport, train
+from .optim import train
 from .oracle import SolutionTable, backward_blowup, shoot
 from .plotting import plot_limits, plot_solution_table, solution_curves
 
@@ -52,70 +54,59 @@ def _atomic(path, write_fn):
             os.unlink(tmp)
 
 
-def _write_training_report(path, report: TrainingReport) -> None:
-    lines = [
-        f"seed: {report.seed}",
-        f"adam_steps: {report.adam_steps}",
-        f"lbfgs_iters: {len(report.lbfgs_history)}",
-        f"lbfgs_status: {report.lbfgs_status}",
-        f"loss_ode: {report.final.ode:.17g}",
-        f"loss_init: {report.final.init:.17g}",
-        f"loss_boundary: {report.final.boundary:.17g}",
-        f"loss_pin: {report.final.pin:.17g}",
-        f"loss_total: {report.final.total:.17g}",
-        f"best_loss: {report.best_loss:.17g}",
-        f"wall_time_s: {report.wall_time_s:.3f}",
-    ]
+def _write_pairs(path, pairs, sep: str, header: str = "") -> None:
+    """The header, then one `key<sep>value` line per pair: a float value as
+    '%.17g', None as nan and anything else as str gives it."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header)
+        for key, value in pairs:
+            if value is None:
+                value = "nan"
+            elif isinstance(value, float):
+                value = "%.17g" % value
+            fh.write(f"{key}{sep}{value}\n")
 
 
-def _write_loss_curve(path, report: TrainingReport) -> None:
-    with open(path, "w") as fh:
-        fh.write("phase,step,loss\n")
-        for i, f in enumerate(report.adam_curve):
-            fh.write(f"adam,{i},{f:.17g}\n")
-        for it, f, gnorm, step in report.lbfgs_history:
-            fh.write(f"lbfgs,{it},{f:.17g}\n")
-
-
-def _check_plot(paths: PathsSpec, table: SolutionTable) -> None:
-    """Raise DivergenceError if paths.plot_out is set and the table cannot be
-    plotted; called before a mode writes any file."""
+def _table_files(paths: PathsSpec, table: SolutionTable, title: str) -> list:
+    """The table as paths.csv_out, and as an SVG plot if paths.plot_out is
+    set.  Raises DivergenceError if the plot is set and the table cannot be
+    plotted."""
+    files = [(paths.csv_out, table.to_csv)]
     if paths.plot_out:
         try:
             plot_limits(table.eta, solution_curves(table))
         except ValueError as err:
             raise DivergenceError(f"cannot plot the table: {err}") from err
+        files.append((paths.plot_out, lambda tmp: plot_solution_table(table, tmp, title=title)))
+    return files
 
 
-def _write_table(paths: PathsSpec, table: SolutionTable, title: str) -> None:
-    """The table as paths.csv_out, and as an SVG plot if paths.plot_out is set."""
-    _atomic(paths.csv_out, table.to_csv)
-    if paths.plot_out:
-        _atomic(paths.plot_out, lambda tmp: plot_solution_table(table, tmp, title=title))
-
-
-def _cmd_train(cfg: RunConfig) -> int:
+def _cmd_train(cfg: RunConfig) -> tuple[list, str]:
     p, report = train(cfg.network, cfg.adam, cfg.lbfgs, cfg.grid)
-    table = tabulate(p, cfg.grid.points)     # before any write: it may diverge
-    _check_plot(cfg.paths, table)
-    _atomic(cfg.paths.checkpoint_out, lambda tmp: save_checkpoint(tmp, cfg.network, p))
-    _atomic(cfg.paths.report_out, lambda tmp: _write_training_report(tmp, report))
-    _atomic(cfg.paths.curve_out, lambda tmp: _write_loss_curve(tmp, report))
-    _write_table(cfg.paths, table, "PINN solution")
-    print(f"ok mode=train loss_total={report.final.total:.6g} "
-          f"lbfgs_status={report.lbfgs_status} seed={cfg.network.seed}")
-    return 0
+    table = tabulate(p, cfg.grid.points)
+    losses = [(f"loss_{k}", getattr(report.final, k))
+              for k in ("ode", "init", "boundary", "pin", "total")]
+    fields = [("seed", report.seed), ("adam_steps", report.adam_steps),
+              ("lbfgs_iters", len(report.lbfgs_history)), ("lbfgs_status", report.lbfgs_status),
+              *losses, ("best_loss", report.best_loss),
+              ("wall_time_s", f"{report.wall_time_s:.3f}")]
+    curve = [(f"adam,{i}", f) for i, f in enumerate(report.adam_curve)]
+    curve += [(f"lbfgs,{it}", f) for it, f, _, _ in report.lbfgs_history]
+    files = [
+        (cfg.paths.checkpoint_out, lambda tmp: save_checkpoint(tmp, cfg.network, p)),
+        (cfg.paths.report_out, lambda tmp: _write_pairs(tmp, fields, ": ")),
+        (cfg.paths.curve_out, lambda tmp: _write_pairs(tmp, curve, ",", "phase,step,loss\n")),
+        *_table_files(cfg.paths, table, "PINN solution"),
+    ]
+    return files, (f"ok mode=train loss_total={report.final.total:.6g} "
+                   f"lbfgs_status={report.lbfgs_status} seed={cfg.network.seed}")
 
 
-def _cmd_solve_oracle(cfg: RunConfig) -> int:
+def _cmd_solve_oracle(cfg: RunConfig) -> tuple[list, str]:
     res = shoot(h=cfg.oracle.h, eta_max=cfg.oracle.eta_max)
-    _check_plot(cfg.paths, res.table)
-    _write_table(cfg.paths, res.table, "Shooting solution")
-    print(f"ok mode=solve-oracle s_star={res.s_star:.9g} h={res.h:g} "
-          f"iterations={res.iterations}")
-    return 0
+    return (_table_files(cfg.paths, res.table, "Shooting solution"),
+            f"ok mode=solve-oracle s_star={res.s_star:.9g} h={res.h:g} "
+            f"iterations={res.iterations}")
 
 
 def _require_checkpoint(cfg: RunConfig):
@@ -130,60 +121,50 @@ def _require_checkpoint(cfg: RunConfig):
     return net, p
 
 
-def _write_kv_csv(path, pairs) -> None:
-    with open(path, "w") as fh:
-        fh.write("field,value\n")
-        for k, v in pairs:
-            fh.write(f"{k},{v:.17g}\n" if isinstance(v, float) else f"{k},{v}\n")
-
-
-def _cmd_compare(cfg: RunConfig) -> int:
+def _cmd_compare(cfg: RunConfig) -> tuple[list, str]:
     _, p = _require_checkpoint(cfg)
     res = shoot(h=cfg.oracle.h, eta_max=cfg.oracle.eta_max)
     rep = compare(p, res.table)
-    _atomic(cfg.paths.csv_out, lambda tmp: _write_kv_csv(tmp, asdict(rep).items()))
-    print(f"ok mode=compare wall_curvature_pinn={rep.wall_curvature_pinn:.6g} "
-          f"max_abs_err_f={rep.max_abs_err_f:.3g}")
-    return 0
+    pairs = asdict(rep).items()
+    return ([(cfg.paths.csv_out, lambda tmp: _write_pairs(tmp, pairs, ",", "field,value\n"))],
+            f"ok mode=compare wall_curvature_pinn={rep.wall_curvature_pinn:.6g} "
+            f"max_abs_err_f={rep.max_abs_err_f:.3g}")
 
 
-def _cmd_probe_negative(cfg: RunConfig) -> int:
+def _cmd_probe_negative(cfg: RunConfig) -> tuple[list, str]:
     _, p_prev = _require_checkpoint(cfg)
     p_ext, sing = probe_negative(p_prev, cfg.network, cfg.adam, cfg.lbfgs, cfg.probe)
     blowup_eta = backward_blowup(sing.pin_value, cfg.oracle.blowup_h)
-    table = tabulate(p_ext, cfg.probe.points)   # before any write: it may diverge
-    _check_plot(cfg.paths, table)
-    _atomic(cfg.paths.checkpoint_out, lambda tmp: save_checkpoint(tmp, cfg.network, p_ext))
-    _write_table(cfg.paths, table, "Negative-axis extension")
+    table = tabulate(p_ext, cfg.probe.points)
     pairs = [
         ("pin_value", sing.pin_value),
         ("max_abs_f_edge", sing.max_abs_f_edge),
         ("max_abs_residual_edge", sing.max_abs_residual_edge),
-        ("onset_eta", sing.onset_eta if sing.onset_eta is not None else float("nan")),
+        ("onset_eta", sing.onset_eta),
         ("median_fppp", sing.median_fppp),
-        ("pole_eta", sing.pole_eta if sing.pole_eta is not None else float("nan")),
+        ("pole_eta", sing.pole_eta),
         ("final_loss", sing.final_loss),
-        ("oracle_blowup_eta", blowup_eta if blowup_eta is not None else float("nan")),
+        ("oracle_blowup_eta", blowup_eta),
         ("converged", int(sing.converged)),
         ("lbfgs_status", sing.report.lbfgs_status),
     ]
-    _atomic(cfg.paths.report_out, lambda tmp: _write_kv_csv(tmp, pairs))
+    files = [
+        (cfg.paths.checkpoint_out, lambda tmp: save_checkpoint(tmp, cfg.network, p_ext)),
+        *_table_files(cfg.paths, table, "Negative-axis extension"),
+        (cfg.paths.report_out, lambda tmp: _write_pairs(tmp, pairs, ",", "field,value\n")),
+    ]
     onset = "none" if sing.onset_eta is None else f"{sing.onset_eta:.4f}"
     pole = "none" if sing.pole_eta is None else f"{sing.pole_eta:.4f}"
     blowup = "none" if blowup_eta is None else f"{blowup_eta:.5f}"
-    print(f"ok mode=probe-negative onset_eta={onset} pole_eta={pole} "
-          f"oracle_blowup_eta={blowup} final_loss={sing.final_loss:.6g} "
-          f"lbfgs_status={sing.report.lbfgs_status}")
-    return 0
+    return files, (f"ok mode=probe-negative onset_eta={onset} pole_eta={pole} "
+                   f"oracle_blowup_eta={blowup} final_loss={sing.final_loss:.6g} "
+                   f"lbfgs_status={sing.report.lbfgs_status}")
 
 
-def _cmd_export(cfg: RunConfig) -> int:
+def _cmd_export(cfg: RunConfig) -> tuple[list, str]:
     _, p = _require_checkpoint(cfg)
     table = tabulate(p, cfg.grid.points)
-    _check_plot(cfg.paths, table)
-    _write_table(cfg.paths, table, "PINN solution")
-    print(f"ok mode=export rows={len(table)}")
-    return 0
+    return _table_files(cfg.paths, table, "PINN solution"), f"ok mode=export rows={len(table)}"
 
 
 _COMMANDS = {
@@ -214,7 +195,10 @@ def main(argv=None) -> int:
         # an overflow ends in DivergenceError, which reports it: numpy's
         # warnings on the way there would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[cfg.mode](cfg)
+            files, summary = _COMMANDS[cfg.mode](cfg)
+            # written only once every computation and check of the mode has passed
+            for path, writer in files:
+                _atomic(path, writer)
     except ConfigError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return 2
@@ -224,6 +208,8 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: io: {err}", file=sys.stderr)
         return 4
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

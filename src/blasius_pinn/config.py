@@ -10,10 +10,10 @@ Example:
     paths.checkpoint_out = checkpoint.txt
 
 Each section is the frozen dataclass the program runs with, and each key and
-its type come from one of its fields.  Unknown keys, values of the wrong type,
-non-finite numbers and values a section rejects raise ConfigError when the
-file is read, in every mode, so mistakes fail loudly before any compute
-starts.
+its type come from one of its fields.  Unknown keys, a key set twice, values
+of the wrong type, non-finite numbers and values a section rejects raise
+ConfigError when the file is read, in every mode, so mistakes fail loudly
+before any compute starts.
 """
 
 from __future__ import annotations
@@ -118,6 +118,9 @@ def parse_config(text: str) -> RunConfig:
         tp = _KEY_TYPES.get(key)
         if tp is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        section, _, attr = key.rpartition(".")
+        if attr in values[section]:
+            raise ConfigError(f"line {lineno}: {key} is set twice")
         if tp is str:
             val = value
         else:
@@ -128,7 +131,6 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"line {lineno}: {key} expects {kind}, got {value!r}")
             if tp is float and not math.isfinite(val):
                 raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
-        section, _, attr = key.rpartition(".")
         values[section][attr] = val
 
     # every section is built before the RunConfig that checks them together,

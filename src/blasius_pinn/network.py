@@ -237,7 +237,7 @@ def save_checkpoint(path, cfg: NetworkConfig, p: ParamVector) -> None:
     """Text checkpoint; 17 significant digits round-trips float64 exactly."""
     with open(path, "w") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n{cfg.depth} {cfg.width} {cfg.seed}\n")
-        fh.write(format_g17(p.values, "\n"))
+        fh.writelines(format_g17((p.values,), "\n"))
 
 
 def load_checkpoint(path) -> tuple[NetworkConfig, ParamVector]:

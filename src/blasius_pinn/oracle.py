@@ -24,7 +24,6 @@ SHOOT_TOL = 1e-10           # shoot stops once |f'(eta_max) - 1| is this small
 SHOOT_MAX_ITERS = 100       # secant (and scaled-root Newton) iterations
 MAX_STEPS = 10 ** 7         # RK4 steps one integration may be asked for
 BLOWUP_STEP = 0.01          # backward_blowup's step, as a share of the pole distance
-CSV_BLOCK = 4096            # rows formatted per write in SolutionTable.to_csv
 
 
 @dataclass
@@ -41,15 +40,13 @@ class SolutionTable:
         return self.eta.size
 
     def to_csv(self, path) -> None:
-        """Each value as '%.17g' formats it.  The rows are formatted and
-        written CSV_BLOCK at a time, so the text held at once does not grow
-        with the table."""
-        cols = (self.eta, self.f, self.fp, self.fpp, self.residual)
+        """A header, then one row per node with each value as '%.17g'
+        formats it.  format_g17 streams the text, so what is held at once
+        does not grow with the table."""
         with open(path, "w") as fh:
             fh.write("eta,f,fp,fpp,residual\n")
-            for lo in range(0, len(self), CSV_BLOCK):
-                block = np.stack([c[lo : lo + CSV_BLOCK] for c in cols], axis=1)
-                fh.write(format_g17(block, ",,,,\n"))
+            fh.writelines(format_g17((self.eta, self.f, self.fp, self.fpp, self.residual),
+                                     ",,,,\n"))
 
 
 @dataclass

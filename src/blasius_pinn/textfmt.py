@@ -79,13 +79,17 @@ def _truncated(M, e, k):
     return n, lo & ((np.uint64(1) << s) - 1), s, fast
 
 
-def format_g17(values, seps: str) -> str:
-    """'%.17g' % x followed by its separator, for every x of values in C
-    order; the separator of the value at flat index i is seps[i % len(seps)].
-    So a (rows, len(seps)) array with seps = ',,\\n' gives CSV rows."""
-    x = np.asarray(values, dtype=np.float64).reshape(-1, len(seps)).ravel()
-    step = max(CHUNK // len(seps), 1) * len(seps)
-    return "".join(_format(x[lo : lo + step], seps) for lo in range(0, x.size, step))
+def format_g17(columns, seps: str):
+    """Yield the text of equal-length columns row by row: each value x of
+    column j as '%.17g' % x followed by seps[j].  So five columns with
+    seps = ',,,,\\n' give CSV rows.  The text comes in pieces of at most
+    CHUNK values, so what is held at once does not grow with the columns."""
+    if len(columns) != len(seps) or len({len(c) for c in columns}) > 1:
+        raise ValueError("format_g17 takes one separator per column, and equal-length columns")
+    rows = max(CHUNK // len(seps), 1)
+    for lo in range(0, len(columns[0]), rows):
+        x = np.stack([c[lo : lo + rows] for c in columns], axis=1)
+        yield _format(np.asarray(x, dtype=np.float64).ravel(), seps)
 
 
 def _format(x, seps):

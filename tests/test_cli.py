@@ -1,4 +1,5 @@
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import blasius_pinn
+from blasius_pinn import cli
 from blasius_pinn.cli import _atomic, main
 from blasius_pinn.config import _KEY_TYPES, ConfigError, RunConfig, parse_config
 from blasius_pinn.loss import CollocationGrid
@@ -66,6 +68,13 @@ class TestConfigParsing:
             parse_config("adam.base_lr = fast\n")
         with pytest.raises(ConfigError):
             parse_config("just some text\n")
+
+    def test_rejects_a_key_set_twice(self):
+        # the later line would silently win, whichever of the two is the mistake
+        with pytest.raises(ConfigError, match="^line 3: oracle.h is set twice$"):
+            parse_config("oracle.h = 1e-2\n# finer\noracle.h = 1e-3\n")
+        with pytest.raises(ConfigError, match="^line 2: mode is set twice$"):
+            parse_config("mode = train\nmode = train\n")
 
     def test_rejects_bad_mode_and_variant(self):
         with pytest.raises(ConfigError):
@@ -260,6 +269,73 @@ class TestCliModes:
         assert {"pole_eta", "lbfgs_status", "converged"} <= set(rows)
         assert rows["converged"] == str(int(rows["lbfgs_status"] == "converged"))
 
+    @staticmethod
+    def assert_g17(value):
+        # a float as '%.17g' gives it, which round-trips it
+        assert "%.17g" % float(value) == value
+
+    def test_train_report_and_loss_curve_formats(self, tmp_path, capsys):
+        assert main(["train", "--config", write_cfg(tmp_path, FAST_TRAIN), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        report = [line.split(": ") for line in (tmp_path / "report.txt").read_text().splitlines()]
+        assert [key for key, _ in report] == [
+            "seed", "adam_steps", "lbfgs_iters", "lbfgs_status", "loss_ode", "loss_init",
+            "loss_boundary", "loss_pin", "loss_total", "best_loss", "wall_time_s"]
+        fields = dict(report)
+        assert fields["seed"] == "0" and fields["lbfgs_status"].isidentifier()
+        for key in ("loss_ode", "loss_init", "loss_boundary", "loss_pin", "loss_total", "best_loss"):
+            self.assert_g17(fields[key])
+        assert re.fullmatch(r"\d+\.\d{3}", fields["wall_time_s"])
+        curve = (tmp_path / "loss_curve.csv").read_text().splitlines()
+        assert curve[0] == "phase,step,loss"
+        rows = [line.split(",") for line in curve[1:]]
+        adam, lbfgs = int(fields["adam_steps"]), int(fields["lbfgs_iters"])
+        assert adam > 0 and lbfgs > 0 and len(rows) == adam + lbfgs
+        assert [row[:2] for row in rows] == ([["adam", str(i)] for i in range(adam)] +
+                                             [["lbfgs", str(i)] for i in range(1, lbfgs + 1)])
+        for row in rows:
+            self.assert_g17(row[2])
+
+    def test_compare_csv_format(self, tmp_path, capsys):
+        assert main(["train", "--config", write_cfg(tmp_path, FAST_TRAIN), "--out", str(tmp_path)]) == 0
+        cfg = write_cfg(tmp_path, "paths.checkpoint_in = checkpoint.txt\n"
+                                  "paths.csv_out = compare.csv\noracle.h = 1e-2\n", name="cmp.cfg")
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "compare.csv").read_text().splitlines()
+        assert lines[0] == "field,value"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [key for key, _ in rows] == [
+            "max_abs_err_f", "max_abs_err_fp", "max_abs_err_fpp", "rms_err_f",
+            "wall_curvature_pinn", "wall_curvature_oracle", "eta99_pinn", "eta99_oracle"]
+        # this network's f' never reaches 0.99: its eta99 is nan
+        assert dict(rows)["eta99_pinn"] == "nan"
+        for _, value in rows:
+            self.assert_g17(value)
+
+    def test_probe_report_format(self, tmp_path, capsys):
+        assert main(["train", "--config", write_cfg(tmp_path, FAST_TRAIN), "--out", str(tmp_path)]) == 0
+        cfg = write_cfg(tmp_path, FAST_TRAIN + "probe.n = 20\noracle.blowup_h = 1e-3\n"
+                                  "paths.checkpoint_in = checkpoint.txt\n"
+                                  "paths.checkpoint_out = extended.txt\n"
+                                  "paths.report_out = probe.csv\n", name="probe.cfg")
+        assert main(["probe-negative", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        lines = (tmp_path / "probe.csv").read_text().splitlines()
+        assert lines[0] == "field,value"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [key for key, _ in rows] == [
+            "pin_value", "max_abs_f_edge", "max_abs_residual_edge", "onset_eta", "median_fppp",
+            "pole_eta", "final_loss", "oracle_blowup_eta", "converged", "lbfgs_status"]
+        fields = dict(rows)
+        # an estimate the probe does not find (None) is written as nan
+        for key in ("onset_eta", "pole_eta", "oracle_blowup_eta"):
+            assert (f"{key}=none" in out) == (fields[key] == "nan")
+        assert "oracle_blowup_eta=none" in out
+        for key, value in rows[:-2]:
+            self.assert_g17(value)
+        assert fields["converged"] in ("0", "1") and fields["lbfgs_status"].isidentifier()
+
     def test_outputs_follow_the_umask(self, tmp_path):
         old = os.umask(0o022)
         try:
@@ -279,6 +355,12 @@ class TestCliErrors:
         cfg = write_cfg(tmp_path, "network.shape = big\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 2
         capsys.readouterr()
+
+    def test_key_set_twice_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "oracle.h = 1e-2\noracle.h = 1e-3\n")
+        assert main(["solve-oracle", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: config: line 2: oracle.h is set twice\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_compare_without_checkpoint_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "oracle.h = 1e-2\n")
@@ -409,6 +491,25 @@ class TestCliErrors:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("error: divergence:")
         assert proc.stderr.count("\n") == 1, proc.stderr
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["ck.txt", "run.cfg"]
+
+    @pytest.mark.parametrize("mode", ["train", "solve-oracle", "probe-negative", "export"])
+    def test_failed_plot_check_writes_nothing(self, tmp_path, capsys, monkeypatch, mode):
+        # every mode that writes a table checks its plot after all else it
+        # computes; no file, not even the checkpoint, may come before that
+        net = NetworkConfig(1, 8, 0)
+        save_checkpoint(tmp_path / "ck.txt", net, init_params(net))
+
+        def unplottable(*args):
+            raise ValueError("no plot range")
+
+        monkeypatch.setattr(cli, "plot_limits", unplottable)
+        cfg = write_cfg(tmp_path, FAST_TRAIN + "probe.n = 20\noracle.h = 1e-2\n"
+                                  "oracle.blowup_h = 1e-3\npaths.checkpoint_in = ck.txt\n"
+                                  "paths.plot_out = sol.svg\n")
+        assert main([mode, "--config", cfg, "--out", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: divergence:") and err.count("\n") == 1
         assert sorted(f.name for f in tmp_path.iterdir()) == ["ck.txt", "run.cfg"]
 
     @pytest.mark.parametrize("grid", [

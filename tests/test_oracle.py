@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from blasius_pinn import oracle
 from blasius_pinn.grad import DivergenceError
-from blasius_pinn.oracle import (CSV_BLOCK, SHOOT_TOL, SolutionTable, backward_blowup, rk4_shoot,
+from blasius_pinn.oracle import (SHOOT_TOL, SolutionTable, backward_blowup, rk4_shoot,
                                  shoot)
+from blasius_pinn.textfmt import CHUNK
 from oracle_reference import (backward_blowup_reference, blowup_reference,
                               integrate_end_reference, order_slope, read_solution_csv,
                               rk4_shoot_reference, shoot_reference)
@@ -367,14 +368,15 @@ def test_solution_table_csv_round_trip(tmp_path, shoot_result):
     assert header == "eta,f,fp,fpp,residual"
 
 
-@pytest.mark.parametrize("rows", [1, CSV_BLOCK, CSV_BLOCK + 1, 5000])
+@pytest.mark.parametrize("rows", [1, CHUNK // 5, CHUNK // 5 + 1, 5000])
 def test_csv_bytes_match_the_per_value_formatting(tmp_path, rows):
-    # tables of one block, one row past it and a partial second block; -0.0,
-    # the smallest subnormal and 1e300 test the 17-digit formatting at its
-    # edges, on both sides of a block boundary where the table has one
+    # tables of one formatter pass (CHUNK // 5 rows), one row past it and
+    # several passes; -0.0, the smallest subnormal and 1e300 test the 17-digit
+    # formatting at its edges, on both sides of a pass boundary where the
+    # table has one
     rng = np.random.default_rng(0)
     cols = [rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows) for _ in range(5)]
-    edges = [i for i in (0, CSV_BLOCK - 1, CSV_BLOCK) if i < rows]
+    edges = [i for i in (0, CHUNK // 5 - 1, CHUNK // 5) if i < rows]
     cols[1][edges] = (-0.0, 5e-324, 1e300)[:len(edges)]
     table = SolutionTable(*cols)
     path = tmp_path / "table.csv"

@@ -19,7 +19,7 @@ def from_bits(bits):
 @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
 def test_any_bit_pattern_formats_as_percent(bits):
     x = from_bits(bits)
-    assert format_g17(x, "\n") == per_value(x.tolist(), "\n")
+    assert "".join(format_g17((x,), "\n")) == per_value(x.tolist(), "\n")
 
 
 @settings(max_examples=2000, deadline=None)
@@ -40,7 +40,7 @@ def test_any_bit_pattern_formats_as_percent(bits):
 @example([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, math.inf, -math.inf,
           math.nan])
 def test_any_float_formats_as_percent(values):
-    assert format_g17(np.array(values), "\n") == per_value(values, "\n")
+    assert "".join(format_g17((np.array(values),), "\n")) == per_value(values, "\n")
 
 
 def test_every_power_of_ten_and_its_neighbours():
@@ -50,7 +50,7 @@ def test_every_power_of_ten_and_its_neighbours():
         p = float(f"1e{m}")
         values += [math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)]
         values += [math.nextafter(values[-3], 0.0), math.nextafter(values[-1], math.inf)]
-    assert format_g17(np.array(values), "\n") == per_value(values, "\n")
+    assert "".join(format_g17((np.array(values),), "\n")) == per_value(values, "\n")
 
 
 def test_rows_across_passes():
@@ -60,5 +60,5 @@ def test_rows_across_passes():
     rows = rng.normal(scale=10.0 ** rng.integers(-12, 18, (2 * CHUNK // 5 + 3, 5)))
     rows[::7, 4] = 0.0
     rows[3, 1] = math.nan
-    assert format_g17(rows, ",,,,\n") == per_value(rows.ravel().tolist(), ",,,,\n")
-    assert format_g17(np.empty((0, 5)), ",,,,\n") == ""
+    assert "".join(format_g17(rows.T, ",,,,\n")) == per_value(rows.ravel().tolist(), ",,,,\n")
+    assert "".join(format_g17(np.empty((0, 5)).T, ",,,,\n")) == ""
