@@ -99,7 +99,7 @@ class SingularityReport:
     median_fppp: float
     pole_eta: float | None      # pole estimate from f at eta0, see pole_from_profile
     final_loss: float
-    converged: bool             # L-BFGS met its gradient tolerance
+    converged: bool             # the refinement met its gradient tolerance
     report: TrainingReport
 
 

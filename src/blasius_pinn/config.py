@@ -25,9 +25,9 @@ from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
 
 from .analysis import probe_points
-from .loss import CollocationGrid
+from .loss import CollocationGrid, row_count
 from .network import NetworkConfig, check_workspace
-from .optim import AdamConfig, LbfgsConfig, lbfgs_pair_bytes
+from .optim import AdamConfig, LbfgsConfig, lm_bytes
 from .oracle import OracleSpec
 
 MODES = ("train", "solve-oracle", "compare", "probe-negative", "export")
@@ -75,9 +75,10 @@ class RunConfig:
         if self.mode and self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}")
         # the largest single forward pass of train or probe-negative, and
-        # the L-BFGS pairs held beside it
-        check_workspace(self.network, max(self.grid.n + 2, probe_points(self.probe)),
-                        held=lbfgs_pair_bytes(self.network))
+        # the Jacobian and J J' of the refinement's rows held beside it
+        rows = max(row_count(self.grid.n, False), row_count(self.probe.n, True))
+        check_workspace(self.network, max(rows, probe_points(self.probe)),
+                        held=lm_bytes(self.network, rows))
 
 
 def replace_section(cfg: RunConfig, name: str, **values) -> RunConfig:

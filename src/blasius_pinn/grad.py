@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import CollocationGrid, LossBreakdown, loss_terms
-from .network import ParamVector, Workspace, backward_jet_batch, forward_jet_batch
+from .loss import CollocationGrid, LossBreakdown, loss_terms, residual_rows, row_points
+from .network import ParamVector, Workspace, backward_jet_batch, forward_jet_batch, row_jacobian
 
 
 class DivergenceError(RuntimeError):
@@ -49,3 +49,23 @@ def loss_and_grad(p: ParamVector, grid: CollocationGrid, pin: float | None = Non
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("non-finite gradient")
     return GradResult(breakdown, grad)
+
+
+def residual_jacobian(p: ParamVector, grid: CollocationGrid, pin: float | None = None,
+                      *, ws: Workspace, out: np.ndarray) -> np.ndarray:
+    """The loss's rows r at p (see loss.residual_rows) and their Jacobian.
+
+    One forward pass over the m rows' points (`loss.row_points`), so `ws`
+    holds at least m points, then row_jacobian writes dr/d(theta) into `out`
+    (m, len(p)).  The total loss is sum(r * r) and its gradient 2 J'r.
+    Returns r.
+    """
+    n = grid.n
+    etas = grid.anchored_points[row_points(n, pin is not None)]
+    y = forward_jet_batch(p, etas, ws=ws)
+    # the first n + 2 rows' points are the anchored points
+    r, seeds = residual_rows(y[:, : n + 2], pin)
+    if not np.all(np.isfinite(r)):
+        raise DivergenceError("non-finite residual row")
+    row_jacobian(p, ws, seeds, out)
+    return r

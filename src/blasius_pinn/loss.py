@@ -4,6 +4,7 @@ Total loss = sum of squared ODE residuals over the grid (sum, not mean)
 + wall conditions f(0)^2 + f'(0)^2
 + far-field condition (f'(eta_m) - 1)^2
 + optional wall-curvature pin (f''(0) - c)^2 for the negative-axis run.
+Each term is a square of one of the rows that `residual_rows` defines.
 
 The wall terms are always anchored at eta = 0 even when the grid extends to
 negative eta.
@@ -67,33 +68,71 @@ def residual(y: np.ndarray) -> np.ndarray:
     return y[3] + 0.5 * y[0] * y[2]
 
 
+def row_count(n: int, pinned: bool) -> int:
+    """Rows of residual_rows for n grid points, with or without the pin."""
+    return n + 3 + pinned
+
+
+def row_points(n: int, pinned: bool) -> np.ndarray:
+    """Index into `anchored_points` of the point each row of residual_rows
+    sits at: the first n + 2 rows sit at the anchored points in their order,
+    then f'(0) and, when pinned, f''(0) - pin sit at the wall."""
+    return np.r_[np.arange(n + 2), n, n][: row_count(n, pinned)]
+
+
+def residual_rows(y: np.ndarray, pin: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the loss, whose squares sum to the total loss.
+
+    y is the output jet (shape (4, n + 2)) at the n grid points followed by
+    the anchors 0 and eta_m.  The m = n + 3 rows (n + 4 with a pin) are the
+    ODE residuals at the grid points, f(0), f'(eta_m) - 1, f'(0) and
+    f''(0) - pin; `row_points` gives the point of each.  Returns (r, seeds):
+    the rows (m,) and each row's derivative with respect to the jet at its
+    point (4, m), one column per row on the channels (f, f', f'', f''').
+    """
+    n = y.shape[1] - 2
+    m = row_count(n, pin is not None)
+    r = np.empty(m)
+    seeds = np.zeros((4, m))
+    r[:n] = residual(y[:, :n])
+    seeds[0, :n] = 0.5 * y[2, :n]
+    seeds[2, :n] = 0.5 * y[0, :n]
+    seeds[3, :n] = 1.0
+    r[n] = y[0, n]
+    r[n + 1] = y[1, n + 1] - 1.0
+    r[n + 2] = y[1, n]
+    seeds[0, n] = seeds[1, n + 1] = seeds[1, n + 2] = 1.0
+    if pin is not None:
+        r[n + 3] = y[2, n] - pin
+        seeds[2, n + 3] = 1.0
+    return r, seeds
+
+
 def loss_terms(y: np.ndarray, pin: float | None = None) -> tuple[np.ndarray, LossBreakdown, np.ndarray]:
     """Loss terms of the output jet y (shape (4, n + 2)) at the n grid points
     followed by the anchors 0 and eta_m, as in `anchored_points`.
 
     Returns (r, breakdown, ybar): the residuals at the grid points, the loss
-    breakdown, and ybar = d(total)/dy for the reverse pass.
+    breakdown, and ybar = d(total)/dy for the reverse pass, all from the rows
+    of residual_rows.
     """
     n = y.shape[1] - 2
-    r = residual(y[:, :n])
-    f0, fp0, fpp0 = y[0, n], y[1, n], y[2, n]
-    fp_far = y[1, n + 1]
+    r, seeds = residual_rows(y, pin)
+    # d(r_k^2)/dy = 2 r_k seed_k, summed over the rows at each point; row k
+    # sits at point k for k < n + 2
+    w = 2.0 * r * seeds
+    at = row_points(n, pin is not None)
     ybar = np.zeros_like(y)
-    ybar[0, :n] = r * y[2, :n]          # 2 r * d r/d f, with d r/d f = f''/2
-    ybar[2, :n] = r * y[0, :n]
-    ybar[3, :n] = 2.0 * r
-    ybar[0, n] += 2.0 * f0
-    ybar[1, n] += 2.0 * fp0
-    ybar[1, n + 1] += 2.0 * (fp_far - 1.0)
-    if pin is not None:
-        ybar[2, n] += 2.0 * (fpp0 - pin)
+    ybar += w[:, : n + 2]
+    for k in range(n + 2, r.size):
+        ybar[:, at[k]] += w[:, k]
     breakdown = LossBreakdown(
-        ode=float(np.sum(r * r)),
-        init=float(f0 ** 2 + fp0 ** 2),
-        boundary=float((fp_far - 1.0) ** 2),
-        pin=0.0 if pin is None else float((fpp0 - pin) ** 2),
+        ode=float(np.sum(r[:n] * r[:n])),
+        init=float(r[n] ** 2 + r[n + 2] ** 2),
+        boundary=float(r[n + 1] ** 2),
+        pin=0.0 if pin is None else float(r[n + 3] ** 2),
     )
-    return r, breakdown, ybar
+    return r[:n], breakdown, ybar
 
 
 def loss_total(p: ParamVector, grid: CollocationGrid, pin: float | None = None) -> LossBreakdown:

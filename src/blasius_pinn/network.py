@@ -233,6 +233,50 @@ def backward_jet_batch(p: ParamVector, ws: Workspace, ybar: np.ndarray) -> np.nd
     return flat
 
 
+def row_jacobian(p: ParamVector, ws: Workspace, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows of the Jacobian: out[k] = d(sum(seeds[:, k] * y[:, k]))/d(params).
+
+    The reverse pass of backward_jet_batch without its sums over points:
+    `ws` holds a forward pass at p over the m = seeds.shape[1] points, one
+    point per row, and `out` (m, len(p)) receives one parameter gradient
+    per row, in ParamVector's layout.  Returns out.
+    """
+    m = seeds.shape[1]
+    layers = list(p.layers())
+    zbar = seeds.reshape(4, m, 1)
+    off = out.shape[1]
+    for li in range(len(layers) - 1, -1, -1):
+        w, _ = layers[li]
+        fo, fi = w.shape
+        off -= fi * fo + fo
+        wrows = out[:, off : off + fi * fo].reshape(m, fo, fi)
+        brows = out[:, off + fi * fo : off + fi * fo + fo]
+        if li < len(layers) - 1:
+            rows = 2 if li == 0 else 4
+            t = ws.act[li][: m * fo]
+            z = _jet(ws.z[li], 4, m, fo).reshape(4, m * fo)
+            zb = _jet(ws.zbar, rows, m, fo)
+            kernels.tanh_jet_backward(t, z, zbar.reshape(4, m * fo),
+                                      out=zb.reshape(rows, m * fo), scratch=ws.scratch)
+            zbar = zb
+        np.copyto(brows, zbar[0])
+        if li == 0:
+            np.multiply(zbar[0], ws.eta[:m, None], out=wrows[:, :, 0])
+            wrows[:, :, 0] += zbar[1]
+        else:
+            # per row, the weight adjoint is sum over channels c of
+            # zbar[c] (fo) outer a_in[c] (fi): (m, fo, 4) @ (m, 4, fi)
+            a_in = _jet(ws.act[li - 1], 4, m, fi)
+            np.matmul(zbar.transpose(1, 2, 0), a_in.transpose(1, 0, 2), out=wrows)
+            abar = _jet(ws.abar, 4, m, fi)
+            if fo == 1:
+                np.multiply(zbar, w[0], out=abar)
+            else:
+                np.matmul(zbar.reshape(4 * m, fo), w, out=abar.reshape(4 * m, fi))
+            zbar = abar
+    return out
+
+
 def save_checkpoint(path, cfg: NetworkConfig, p: ParamVector) -> None:
     """Text checkpoint; 17 significant digits round-trips float64 exactly."""
     with open(path, "w") as fh:

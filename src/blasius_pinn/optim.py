@@ -1,8 +1,13 @@
-"""Optimizers: Adam with exponential learning-rate decay, then L-BFGS.
+"""Optimizers: Adam with exponential learning-rate decay, then
+Levenberg-Marquardt.
 
 Training runs a full-batch Adam phase to get into a good basin and hands
-off to L-BFGS (two-loop recursion, strong Wolfe line search) for the final
+off to Levenberg-Marquardt on the loss's residual rows for the final
 digits.  The collocation set is tiny, so everything is full batch.
+
+L-BFGS (two-loop recursion, strong Wolfe line search) is still defined
+here, and its names carry the refinement's config and report (`LbfgsConfig`,
+`TrainingReport.lbfgs_history`), but `train` no longer calls it.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grad import DivergenceError, loss_and_grad
-from .loss import CollocationGrid, LossBreakdown, loss_total
+from .grad import DivergenceError, loss_and_grad, residual_jacobian
+from .loss import CollocationGrid, LossBreakdown, loss_total, row_count
 from .network import NetworkConfig, ParamVector, Workspace, init_params
 
 ADAM_BETA1 = 0.9             # first-moment decay
@@ -27,11 +32,16 @@ WOLFE_C1 = 1e-4              # sufficient decrease
 WOLFE_C2 = 0.9               # curvature
 MAX_LINE_EVALS = 25          # trial steps per line search
 
+# Levenberg-Marquardt damping, relative to the largest eigenvalue of J J'
+LM_DAMPING_START = 1e-3
+LM_DAMPING_FLOOR = 1e-10     # J J' is numerically singular: most eigenvalues sit near 0
+LM_DAMPING_CAP = 1e6         # no step that lowers the loss at this damping: stalled
 
-def lbfgs_pair_bytes(cfg: NetworkConfig) -> int:
-    """Bytes of the LBFGS_MEMORY (s, y) pairs lbfgs_minimize keeps for cfg's
-    network."""
-    return 2 * LBFGS_MEMORY * 8 * cfg.param_count()
+
+def lm_bytes(cfg: NetworkConfig, rows: int) -> int:
+    """Bytes of the Jacobian (rows x parameters) and of J J' (rows x rows)
+    that Levenberg-Marquardt holds for cfg's network."""
+    return 8 * (rows * cfg.param_count() + rows * rows)
 
 
 @dataclass(frozen=True)
@@ -39,7 +49,7 @@ class AdamConfig:
     base_lr: float = 1e-3
     decay: float = 0.96          # multiplicative lr decay per epoch
     max_steps: int = 5000
-    switch_tol: float = 1e-3     # hand off to L-BFGS below this loss
+    switch_tol: float = 1e-3     # hand off to the refinement below this loss
 
     def __post_init__(self):
         if not self.base_lr > 0.0:
@@ -82,7 +92,9 @@ def adam_step(state: AdamState, grad: np.ndarray, cfg: AdamConfig) -> AdamState:
 
 @dataclass(frozen=True)
 class LbfgsConfig:
-    max_iters: int = 2000
+    """The refinement's budget; train runs Levenberg-Marquardt under it."""
+
+    max_iters: int = 200
     grad_tol: float = 1e-9       # on the max-norm of the gradient
 
     def __post_init__(self):
@@ -94,7 +106,7 @@ class LbfgsConfig:
 class LbfgsResult:
     x: np.ndarray
     fval: float
-    history: list = field(default_factory=list)  # (iter, loss, grad_norm, step)
+    history: list = field(default_factory=list)  # (iter, loss, grad_norm, step or damping)
     status: str = "converged"
     n_evals: int = 0
 
@@ -244,13 +256,85 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
     return LbfgsResult(best_x, best_f, history, status, n_evals)
 
 
+def lm_minimize(f_and_grad, rows, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
+    """Levenberg-Marquardt on f = sum(r * r), in the space of the m rows.
+
+    f_and_grad(x) -> (f, gradient) evaluates every trial point, and
+    rows(x) -> (r, J) gives the rows and their Jacobian (m x len(x)) at each
+    accepted one.  The step is -J' (J J' + lam I)^-1 r: one eigensolve of
+    the m x m matrix J J' per accepted point serves every damping tried
+    there.  lam follows the gain ratio rho of the actual to the predicted
+    decrease (Nielsen's rule; Madsen, Nielsen & Tingleff 2004): after a
+    step that lowers f it is scaled by max(1/3, 1 - (2 rho - 1)^3), after
+    one that does not it grows by a factor that doubles each time.  lam is
+    kept between LM_DAMPING_FLOOR and LM_DAMPING_CAP times the largest
+    eigenvalue of J J'.
+
+    Stops as "converged" once max|gradient| <= grad_tol, as "stalled" when
+    no step at the damping cap lowers f, and as "max_iters" after max_iters
+    steps.  Only steps that lower f are taken, so the result is never worse
+    than x0.  history holds (iteration, f, max|gradient|, lam) per step.
+    """
+    x = np.asarray(x0, dtype=np.float64).copy()
+    f, g = f_and_grad(x)
+    n_evals = 1
+    history = []
+    gnorm = float(np.max(np.abs(g), initial=0.0))
+    status = "max_iters"
+    lam, grow = None, 2.0
+    for it in range(cfg.max_iters):
+        if gnorm <= cfg.grad_tol:
+            status = "converged"
+            break
+        r, jac = rows(x)
+        gram = jac @ jac.T
+        if not np.all(np.isfinite(gram)):
+            raise DivergenceError("non-finite residual Jacobian")
+        w, v = np.linalg.eigh(gram)
+        np.maximum(w, 0.0, out=w)       # rounding leaves some slightly negative
+        c = v.T @ r
+        top = w[-1]
+        if not top > 0.0:
+            status = "stalled"
+            break
+        lam = LM_DAMPING_START * top if lam is None else lam
+        lam = min(max(lam, LM_DAMPING_FLOOR * top), LM_DAMPING_CAP * top)
+        while True:
+            d = w + lam
+            step = -(jac.T @ (v @ (c / d)))
+            # the model's f at the step is |lam u|^2, u = (J J' + lam I)^-1 r
+            predicted = float(np.sum(c * c * w * (w + 2.0 * lam) / (d * d)))
+            x_new = x + step
+            try:
+                f_new, g_new = f_and_grad(x_new)
+            except DivergenceError:
+                f_new = np.inf
+            n_evals += 1
+            if f_new < f and predicted > 0.0:
+                rho = (f - f_new) / predicted
+                x, f = x_new, f_new
+                gnorm = float(np.max(np.abs(g_new), initial=0.0))
+                history.append((it + 1, f, gnorm, lam))
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                grow = 2.0
+                break
+            if lam >= LM_DAMPING_CAP * top:
+                status = "stalled"
+                break
+            lam = min(lam * grow, LM_DAMPING_CAP * top)
+            grow *= 2.0
+        if status == "stalled":
+            break
+    return LbfgsResult(x, f, history, status, n_evals)
+
+
 @dataclass
 class TrainingReport:
     seed: int
     adam_steps: int
     adam_curve: list            # total loss per Adam step
-    lbfgs_history: list         # (iter, loss, grad_norm, step)
-    lbfgs_status: str
+    lbfgs_history: list         # Levenberg-Marquardt's (iter, loss, grad_norm, damping)
+    lbfgs_status: str           # converged, stalled or max_iters
     final: LossBreakdown
     best_loss: float
     wall_time_s: float
@@ -263,18 +347,26 @@ def train(
     grid: CollocationGrid,
     pin: float | None = None,
 ) -> tuple[ParamVector, TrainingReport]:
-    """Initialize, run Adam until max_steps or switch_tol, refine with L-BFGS.
+    """Initialize, run Adam until max_steps or switch_tol, then refine with
+    Levenberg-Marquardt (lm_minimize) under cfg_lbfgs's budget.
 
     Returns the best parameters visited across both phases.
     """
     t_start = time.perf_counter()
     p = init_params(cfg_net)
     shapes = p.shapes
-    ws = Workspace(shapes, grid.anchored_points.size)
+    # one workspace serves the loss at the n + 2 anchored points and the
+    # Jacobian pass at the m rows' points; the Jacobian is allocated once
+    m = row_count(grid.n, pin is not None)
+    ws = Workspace(shapes, m)
+    jac = np.empty((m, len(p)))
 
     def objective(x: np.ndarray):
         res = loss_and_grad(ParamVector(x, shapes), grid, pin=pin, ws=ws)
         return res.loss.total, res.grad
+
+    def rows(x: np.ndarray):
+        return residual_jacobian(ParamVector(x, shapes), grid, pin, ws=ws, out=jac), jac
 
     state = AdamState.fresh(p.values)
     adam_curve: list[float] = []
@@ -289,18 +381,18 @@ def train(
             break
         state = adam_step(state, g, cfg_adam)
 
-    # L-BFGS starts at Adam's best point and returns the best point it visits
-    lbfgs = lbfgs_minimize(objective, best_x, cfg_lbfgs)
-    p_best = ParamVector(lbfgs.x, shapes)
+    # Levenberg-Marquardt starts at Adam's best point and only moves downhill
+    lm = lm_minimize(objective, rows, best_x, cfg_lbfgs)
+    p_best = ParamVector(lm.x, shapes)
     final = loss_total(p_best, grid, pin=pin)
     report = TrainingReport(
         seed=cfg_net.seed,
         adam_steps=len(adam_curve),
         adam_curve=adam_curve,
-        lbfgs_history=lbfgs.history,
-        lbfgs_status=lbfgs.status,
+        lbfgs_history=lm.history,
+        lbfgs_status=lm.status,
         final=final,
-        best_loss=lbfgs.fval,
+        best_loss=lm.fval,
         wall_time_s=time.perf_counter() - t_start,
     )
     return p_best, report

@@ -101,10 +101,20 @@ class TestConfigParsing:
 
     def test_lbfgs_pairs_count_toward_the_memory_bound(self):
         # 9,706,201 parameters: the default probe's jet workspace takes 1.97
-        # GiB, under the bound, but L-BFGS would keep 2.89 GiB of (s, y)
-        # pairs beside it; parsing allocates neither
-        with pytest.raises(ConfigError, match="2.89 GiB of optimizer state"):
+        # GiB, under the bound, but the refinement's Jacobian of the probe's
+        # 104 rows would take 7.52 GiB beside it; parsing allocates neither
+        with pytest.raises(ConfigError, match="7.52 GiB of optimizer state"):
             parse_config("network.depth = 80\nnetwork.width = 350\n")
+
+    def test_jacobian_counts_toward_the_memory_bound(self, tmp_path, capsys):
+        # the default network at 30,000 points: a 0.69 GiB jet workspace,
+        # but a 2.32 GiB Jacobian and a 6.71 GiB J J' beside it
+        with pytest.raises(ConfigError, match="9.03 GiB of optimizer state"):
+            parse_config("grid.n = 30000\n")
+        assert main(["train", "--config", write_cfg(tmp_path, "grid.n = 30000\n"),
+                     "--out", str(tmp_path)]) == 2
+        assert "optimizer state" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]
 
     def test_key_table(self):
         # a new config key is a reviewed change to this list

@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from blasius_pinn.grad import DivergenceError, loss_and_grad
-from blasius_pinn.loss import CollocationGrid, loss_total
-from blasius_pinn.network import NetworkConfig, ParamVector, init_params
+import blasius_pinn
+from blasius_pinn.grad import DivergenceError, loss_and_grad, residual_jacobian
+from blasius_pinn.loss import CollocationGrid, loss_total, residual_rows
+from blasius_pinn.network import (NetworkConfig, ParamVector, Workspace, backward_jet_batch,
+                                  forward_jet_batch, init_params)
 from fd_oracle import fd_gradient_coords, grad_close
+from loss_reference import loss_terms_reference
+from test_workspace import perturbed
 
 GRID = CollocationGrid(0.0, 8.0, 25)
 
@@ -87,3 +95,87 @@ def test_divergence_error_on_nonfinite_params():
     p = ParamVector(vals, cfg.layer_shapes())
     with pytest.raises(DivergenceError):
         loss_and_grad(p, GRID)
+
+
+@pytest.mark.parametrize("grid,pin", [(CollocationGrid(0.0, 8.0, 100), None),
+                                      (CollocationGrid(-4.5, 7.0, 100), 0.33)],
+                         ids=["default", "probe_pinned"])
+def test_loss_and_grad_bytes_match_the_term_by_term_loss(grid, pin):
+    # the rows refactor of loss_terms leaves every byte of the loss and the
+    # gradient as the term-by-term loss terms give them
+    p = perturbed(NetworkConfig(), 3)
+    ws = Workspace(p.shapes, grid.anchored_points.size)
+    y = forward_jet_batch(p, grid.anchored_points, ws=ws)
+    _, want_loss, ybar = loss_terms_reference(y, pin)
+    want_grad = backward_jet_batch(p, ws, ybar)
+    res = loss_and_grad(p, grid, pin=pin)
+    assert res.loss == want_loss
+    assert res.grad.tobytes() == want_grad.tobytes()
+
+
+def rows_at(values, shapes, grid, pin):
+    y = forward_jet_batch(ParamVector(values, shapes), grid.anchored_points)
+    return residual_rows(y, pin)[0]
+
+
+@pytest.mark.parametrize("pin", [None, 0.3], ids=["unpinned", "pinned"])
+def test_residual_jacobian_matches_central_differences(pin):
+    # every row, every parameter
+    cfg = NetworkConfig(depth=2, width=6, seed=7)
+    p = init_params(cfg)
+    grid = CollocationGrid(-1.0, 6.0, 9)
+    m = grid.n + 3 + (pin is not None)
+    jac = np.full((m, len(p)), np.nan)
+    r = residual_jacobian(p, grid, pin, ws=Workspace(p.shapes, m), out=jac)
+    assert r.tobytes() == rows_at(p.values, p.shapes, grid, pin).tobytes()
+    h = 1e-6
+    for i in range(len(p)):
+        step = np.zeros(len(p))
+        step[i] = h
+        fd = (rows_at(p.values + step, p.shapes, grid, pin)
+              - rows_at(p.values - step, p.shapes, grid, pin)) / (2.0 * h)
+        assert grad_close(jac[:, i], fd, rel=1e-6, abs_floor=1e-8), i
+
+
+@pytest.mark.parametrize("grid,pin", [(CollocationGrid(0.0, 8.0, 100), None),
+                                      (CollocationGrid(-4.5, 7.0, 100), 0.33)],
+                         ids=["default", "probe_pinned"])
+def test_jacobian_gradient_is_the_loss_gradient(grid, pin):
+    # total loss = sum(r * r), so its gradient is 2 J'r
+    p = perturbed(NetworkConfig(), 4)
+    m = grid.n + 3 + (pin is not None)
+    jac = np.empty((m, len(p)))
+    r = residual_jacobian(p, grid, pin, ws=Workspace(p.shapes, m), out=jac)
+    res = loss_and_grad(p, grid, pin=pin)
+    assert float(r @ r) == pytest.approx(res.loss.total, rel=1e-14)
+    assert np.max(np.abs(2.0 * jac.T @ r - res.grad)) <= 1e-14 * np.max(np.abs(res.grad))
+
+
+JACOBIAN_SCRIPT = """
+import hashlib
+import numpy as np
+from blasius_pinn.grad import residual_jacobian
+from blasius_pinn.loss import CollocationGrid
+from blasius_pinn.network import NetworkConfig, ParamVector, Workspace, init_params
+
+p = init_params(NetworkConfig())
+p = ParamVector(p.values + np.random.default_rng(1).normal(scale=0.1, size=len(p)), p.shapes)
+digest = hashlib.sha256()
+for grid, pin in ((CollocationGrid(0.0, 8.0, 100), None), (CollocationGrid(-4.5, 7.0, 100), 0.33)):
+    m = grid.n + 3 + (pin is not None)
+    jac = np.empty((m, len(p)))
+    r = residual_jacobian(p, grid, pin, ws=Workspace(p.shapes, m), out=jac)
+    digest.update(r.tobytes() + jac.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_jacobian_bytes_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(blasius_pinn.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", JACOBIAN_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=300, check=True)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from blasius_pinn.loss import CollocationGrid, LossBreakdown, loss_total, residual
+from blasius_pinn.loss import (CollocationGrid, LossBreakdown, loss_terms, loss_total, residual,
+                               residual_rows, row_points)
 from blasius_pinn.network import NetworkConfig, ParamVector, forward_jet_batch, init_params
+from loss_reference import loss_terms_reference
 
 
 def zero_params(depth=2, width=5):
@@ -114,3 +116,37 @@ def test_sum_semantics_doubling_points():
 def test_breakdown_total_property():
     bd = LossBreakdown(1.0, 2.0, 3.0, 4.0)
     assert bd.total == 10.0
+
+
+@pytest.mark.parametrize("pin", [None, 0.33], ids=["unpinned", "pinned"])
+def test_loss_terms_bytes_match_the_term_by_term_reference(pin):
+    # loss_terms builds its breakdown and ybar from residual_rows; on random
+    # jets every byte is the one the term-by-term formulas give
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 17, 100, 257):
+        for scale_ in (1e-3, 1.0, 1e3):
+            y = scale_ * rng.normal(size=(4, n + 2))
+            r, bd, ybar = loss_terms(y, pin)
+            want_r, want_bd, want_ybar = loss_terms_reference(y, pin)
+            assert r.tobytes() == want_r.tobytes()
+            assert ybar.tobytes() == want_ybar.tobytes()
+            for name in ("ode", "init", "boundary", "pin", "total"):
+                got, want = getattr(bd, name), getattr(want_bd, name)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+
+
+@pytest.mark.parametrize("pin", [None, -0.4], ids=["unpinned", "pinned"])
+def test_residual_rows_square_to_the_loss_terms(pin):
+    y = np.random.default_rng(5).normal(size=(4, 12))
+    r, seeds = residual_rows(y, pin)
+    n = 10
+    assert r.shape == (n + 3 + (pin is not None),) and seeds.shape == (4, r.size)
+    at = row_points(n, pin is not None)
+    assert at.tolist() == list(range(n + 2)) + [n] * (r.size - n - 2)
+    _, bd, ybar = loss_terms(y, pin)
+    assert np.sum(r * r) == pytest.approx(bd.total, rel=1e-14)
+    # ybar is the sum over rows of 2 r_k seed_k at row k's point
+    want = np.zeros_like(y)
+    for k in range(r.size):
+        want[:, at[k]] += 2.0 * r[k] * seeds[:, k]
+    np.testing.assert_allclose(ybar, want, rtol=1e-15, atol=0)

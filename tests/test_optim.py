@@ -3,6 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from blasius_pinn import optim
 from blasius_pinn.loss import CollocationGrid
 from blasius_pinn.network import NetworkConfig
 from blasius_pinn.optim import (
@@ -14,6 +15,7 @@ from blasius_pinn.optim import (
     _two_loop,
     adam_step,
     lbfgs_minimize,
+    lm_minimize,
     train,
 )
 
@@ -221,4 +223,111 @@ def test_train_is_deterministic():
 def test_train_default_reaches_deep_minimum(trained_default):
     p, rep = trained_default
     assert rep.best_loss <= 1e-6
-    assert rep.lbfgs_status in ("converged", "line_search_failed", "max_iters")
+    assert rep.lbfgs_status in ("converged", "stalled", "max_iters")
+
+
+def test_default_training_reaches_1e_8_on_seeds_0_to_4(trained_runs):
+    # the default runs trained_runs caches; L-BFGS ended above 1e-8 on some seeds
+    losses = {seed: trained_runs(seed)[1].best_loss for seed in range(5)}
+    assert max(losses.values()) <= 1e-8, losses
+
+
+def linear_rows(A, b):
+    """r(x) = A x - b as (f_and_grad, rows) for lm_minimize."""
+    def f_and_grad(x):
+        r = A @ x - b
+        return float(r @ r), 2.0 * A.T @ r
+
+    def rows(x):
+        return A @ x - b, A
+
+    return f_and_grad, rows
+
+
+@pytest.mark.parametrize("m,n", [(12, 5), (5, 12), (30, 30)],
+                         ids=["overdetermined", "underdetermined", "square"])
+def test_lm_solves_a_consistent_linear_least_squares_problem(m, n):
+    rng = np.random.default_rng(m * n)
+    A = rng.normal(size=(m, n))
+    x_star = rng.normal(size=n)
+    f_and_grad, rows = linear_rows(A, A @ x_star)
+    res = lm_minimize(f_and_grad, rows, np.zeros(n), LbfgsConfig(max_iters=200, grad_tol=1e-13))
+    assert res.status in ("converged", "stalled")
+    assert np.max(np.abs(A @ res.x - A @ x_star)) <= 1e-12
+    if m >= n:
+        np.testing.assert_allclose(res.x, x_star, rtol=0, atol=1e-12)
+    losses = [h[1] for h in res.history]
+    assert losses == sorted(losses, reverse=True) and res.fval == losses[-1]
+
+
+def test_lm_rosenbrock_rows():
+    # Rosenbrock as the rows (10 (x1 - x0^2), 1 - x0)
+    def rows(x):
+        r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+        return r, np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    def f_and_grad(x):
+        r, jac = rows(x)
+        return float(r @ r), 2.0 * jac.T @ r
+
+    res = lm_minimize(f_and_grad, rows, np.array([-1.2, 1.0]), LbfgsConfig(grad_tol=1e-12))
+    assert res.status == "converged"
+    np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-12)
+
+
+def test_lm_stalls_at_its_start_when_no_step_lowers_the_loss():
+    # the rows report the negated Jacobian, so every step climbs: each trial
+    # is rejected until the damping reaches its cap, and the start comes back
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(6, 4))
+    b = rng.normal(size=6)
+    f_and_grad, _ = linear_rows(A, b)
+    x0 = rng.normal(size=4)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f_and_grad(x)
+
+    res = lm_minimize(counted, lambda x: (A @ x - b, -A), x0, LbfgsConfig())
+    assert res.status == "stalled"
+    assert res.history == []
+    assert np.array_equal(res.x, x0) and res.fval == f_and_grad(x0)[0]
+    assert res.n_evals == len(calls) and 2 < len(calls) < 40
+
+
+def test_lm_converged_and_max_iters_statuses():
+    A = np.eye(3)
+    f_and_grad, rows = linear_rows(A, np.ones(3))
+    # already at the minimum: no Jacobian is formed
+    res = lm_minimize(f_and_grad, None, np.ones(3), LbfgsConfig(grad_tol=0.0))
+    assert res.status == "converged" and res.n_evals == 1 and res.history == []
+    res = lm_minimize(f_and_grad, rows, np.zeros(3), LbfgsConfig(max_iters=2, grad_tol=0.0))
+    assert res.status == "max_iters" and [h[0] for h in res.history] == [1, 2]
+    assert res.fval < 3.0
+
+
+def test_train_refines_through_optim_loss_and_grad(monkeypatch):
+    # every loss of the refinement is one that optim.loss_and_grad returned,
+    # as a wrapper installed on the module sees them; L-BFGS is not called
+    seen = []
+    loss_and_grad = optim.loss_and_grad
+
+    def recorded(*args, **kwargs):
+        res = loss_and_grad(*args, **kwargs)
+        seen.append(res.loss.total)
+        return res
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("train called L-BFGS")
+
+    monkeypatch.setattr(optim, "loss_and_grad", recorded)
+    monkeypatch.setattr(optim, "lbfgs_minimize", forbidden)
+    monkeypatch.setattr(optim, "_strong_wolfe", forbidden)
+    _, rep = train(NetworkConfig(depth=1, width=8, seed=0),
+                   AdamConfig(max_steps=40, switch_tol=1e-12),
+                   LbfgsConfig(max_iters=25), CollocationGrid(0.0, 8.0, 20))
+    refinement = seen[rep.adam_steps:]
+    assert rep.lbfgs_history and len(refinement) > len(rep.lbfgs_history)
+    assert all(f in refinement for _, f, _, _ in rep.lbfgs_history)
+    assert rep.best_loss == rep.lbfgs_history[-1][1] == min(seen)
