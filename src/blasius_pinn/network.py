@@ -72,13 +72,19 @@ class ParamVector:
 
     def layers(self):
         """Yield (W, b) views into the flat vector; W is (fan_out, fan_in)."""
-        off = 0
-        for fi, fo in self.shapes:
-            w = self.values[off : off + fi * fo].reshape(fo, fi)
-            off += fi * fo
-            b = self.values[off : off + fo]
-            off += fo
-            yield w, b
+        return layer_views(self.values, self.shapes)
+
+
+def layer_views(values: np.ndarray, shapes):
+    """Yield each layer's (W, b) views along the last axis of a (..., P)
+    array in ParamVector's layout: W is (..., fan_out, fan_in)."""
+    lead = values.shape[:-1]
+    off = 0
+    for fi, fo in shapes:
+        w = values[..., off : off + fi * fo].reshape(lead + (fo, fi))
+        off += fi * fo
+        yield w, values[..., off : off + fo]
+        off += fo
 
 
 def init_params(cfg: NetworkConfig) -> ParamVector:
@@ -189,24 +195,21 @@ def forward_jet_batch(p: ParamVector, etas: np.ndarray, *, ws: Workspace | None 
     return a[:, :, 0]
 
 
-def backward_jet_batch(p: ParamVector, ws: Workspace, ybar: np.ndarray) -> np.ndarray:
-    """Adjoint of forward_jet_batch: gradient of sum(ybar * y) w.r.t. params.
+def _reverse(p: ParamVector, ws: Workspace, seeds: np.ndarray):
+    """The reverse pass that backward_jet_batch and row_jacobian share, from
+    the output adjoint seeds (4, n) over the forward pass that `ws` holds.
 
-    `ws` is the workspace that a forward pass at p over ybar.shape[1] points
-    has just filled.  The gradient is a fresh array.
+    Last layer first, it yields (li, zbar, a_in): the adjoint of the layer's
+    pre-activation jet (rows, n, fo) and its input jet (4, n, fi).  Layer 0's
+    input jet is (eta, 1, 0, 0), so there a_in is None and zbar has only the
+    channels 0 and 1 that meet the weights.  Resuming overwrites zbar.
     """
-    n = ybar.shape[1]
-    layers = list(p.layers())
-    flat = np.empty(len(p))
-    grads = list(ParamVector(flat, p.shapes).layers())
-    zbar = ybar.reshape(4, n, 1)
-    for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        wbar, bbar = grads[li]
+    n = seeds.shape[1]
+    last = len(p.shapes) - 1
+    zbar = seeds.reshape(4, n, 1)
+    for li, (w, _) in reversed(list(enumerate(p.layers()))):
         fo, fi = w.shape
-        if li < len(layers) - 1:
-            # layer 0's input jet has no d2 or d3 channel to take zbar2 and
-            # zbar3, so only zbar0 and zbar1 are formed there
+        if li < last:
             rows = 2 if li == 0 else 4
             t = ws.act[li][: n * fo]
             z = _jet(ws.z[li], 4, n, fo).reshape(4, n * fo)
@@ -214,66 +217,59 @@ def backward_jet_batch(p: ParamVector, ws: Workspace, ybar: np.ndarray) -> np.nd
             kernels.tanh_jet_backward(t, z, zbar.reshape(4, n * fo),
                                       out=out.reshape(rows, n * fo), scratch=ws.scratch)
             zbar = out
-        zbar[0].sum(axis=0, out=bbar)
         if li == 0:
-            # a_in is eta: of the input jet (eta, 1, 0, 0) only channels 0
-            # and 1 meet the weights
+            yield li, zbar, None
+            return
+        yield li, zbar, _jet(ws.act[li - 1], 4, n, fi)
+        abar = _jet(ws.abar, 4, n, fi)
+        # with one output (the last layer) the product is an outer product
+        if fo == 1:
+            np.multiply(zbar, w[0], out=abar)
+        else:
+            np.matmul(zbar.reshape(4 * n, fo), w, out=abar.reshape(4 * n, fi))
+        zbar = abar
+
+
+def backward_jet_batch(p: ParamVector, ws: Workspace, ybar: np.ndarray) -> np.ndarray:
+    """Adjoint of forward_jet_batch: gradient of sum(ybar * y) w.r.t. params.
+
+    `ws` is the workspace that a forward pass at p over ybar.shape[1] points
+    has just filled.  The gradient is a fresh array.
+    """
+    n = ybar.shape[1]
+    flat = np.empty(len(p))
+    grads = list(layer_views(flat, p.shapes))
+    for li, zbar, a_in in _reverse(p, ws, ybar):
+        wbar, bbar = grads[li]
+        fo, fi = wbar.shape
+        zbar[0].sum(axis=0, out=bbar)
+        if a_in is None:
             np.add(ws.eta[:n] @ zbar[0], zbar[1].sum(axis=0), out=wbar[:, 0])
         else:
-            a_in = _jet(ws.act[li - 1], 4, n, fi).reshape(4 * n, fi)
-            zb2 = zbar.reshape(4 * n, fo)
-            np.matmul(zb2.T, a_in, out=wbar)
-            abar = _jet(ws.abar, 4, n, fi)
-            # with one output (the last layer) the product is an outer product
-            if fo == 1:
-                np.multiply(zbar, w[0], out=abar)
-            else:
-                np.matmul(zb2, w, out=abar.reshape(4 * n, fi))
-            zbar = abar
+            np.matmul(zbar.reshape(4 * n, fo).T, a_in.reshape(4 * n, fi), out=wbar)
     return flat
 
 
 def row_jacobian(p: ParamVector, ws: Workspace, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Rows of the Jacobian: out[k] = d(sum(seeds[:, k] * y[:, k]))/d(params).
 
-    The reverse pass of backward_jet_batch without its sums over points:
-    `ws` holds a forward pass at p over the m = seeds.shape[1] points, one
-    point per row, and `out` (m, len(p)) receives one parameter gradient
-    per row, in ParamVector's layout.  Returns out.
+    backward_jet_batch without its sums over points: `ws` holds a forward
+    pass at p over the m = seeds.shape[1] points, one point per row, and
+    `out` (m, len(p)) receives one parameter gradient per row, in
+    ParamVector's layout.  Returns out.
     """
     m = seeds.shape[1]
-    layers = list(p.layers())
-    zbar = seeds.reshape(4, m, 1)
-    off = out.shape[1]
-    for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        fo, fi = w.shape
-        off -= fi * fo + fo
-        wrows = out[:, off : off + fi * fo].reshape(m, fo, fi)
-        brows = out[:, off + fi * fo : off + fi * fo + fo]
-        if li < len(layers) - 1:
-            rows = 2 if li == 0 else 4
-            t = ws.act[li][: m * fo]
-            z = _jet(ws.z[li], 4, m, fo).reshape(4, m * fo)
-            zb = _jet(ws.zbar, rows, m, fo)
-            kernels.tanh_jet_backward(t, z, zbar.reshape(4, m * fo),
-                                      out=zb.reshape(rows, m * fo), scratch=ws.scratch)
-            zbar = zb
+    blocks = list(layer_views(out, p.shapes))
+    for li, zbar, a_in in _reverse(p, ws, seeds):
+        wrows, brows = blocks[li]
         np.copyto(brows, zbar[0])
-        if li == 0:
+        if a_in is None:
             np.multiply(zbar[0], ws.eta[:m, None], out=wrows[:, :, 0])
             wrows[:, :, 0] += zbar[1]
         else:
             # per row, the weight adjoint is sum over channels c of
             # zbar[c] (fo) outer a_in[c] (fi): (m, fo, 4) @ (m, 4, fi)
-            a_in = _jet(ws.act[li - 1], 4, m, fi)
             np.matmul(zbar.transpose(1, 2, 0), a_in.transpose(1, 0, 2), out=wrows)
-            abar = _jet(ws.abar, 4, m, fi)
-            if fo == 1:
-                np.multiply(zbar, w[0], out=abar)
-            else:
-                np.matmul(zbar.reshape(4 * m, fo), w, out=abar.reshape(4 * m, fi))
-            zbar = abar
     return out
 
 

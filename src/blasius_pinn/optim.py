@@ -39,9 +39,10 @@ LM_DAMPING_CAP = 1e6         # no step that lowers the loss at this damping: sta
 
 
 def lm_bytes(cfg: NetworkConfig, rows: int) -> int:
-    """Bytes of the Jacobian (rows x parameters) and of J J' (rows x rows)
-    that Levenberg-Marquardt holds for cfg's network."""
-    return 8 * (rows * cfg.param_count() + rows * rows)
+    """Peak bytes of Levenberg-Marquardt for cfg's network: the Jacobian
+    (rows x parameters), J J' (rows x rows) and the 4 rows^2 more that eigh
+    (LAPACK dsyevd) holds: its copy of J J', workspace and eigenvectors."""
+    return 8 * (rows * cfg.param_count() + 5 * rows * rows)
 
 
 @dataclass(frozen=True)
@@ -270,9 +271,9 @@ def lm_minimize(f_and_grad, rows, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResu
     kept between LM_DAMPING_FLOOR and LM_DAMPING_CAP times the largest
     eigenvalue of J J'.
 
-    Stops as "converged" once max|gradient| <= grad_tol, as "stalled" when
-    no step at the damping cap lowers f, and as "max_iters" after max_iters
-    steps.  Only steps that lower f are taken, so the result is never worse
+    Stops as "converged" once max|gradient| <= grad_tol, at x0 or after any
+    step (the last one included), as "stalled" when no step at the damping
+    cap lowers f, and as "max_iters" after max_iters steps.  Only steps that lower f are taken, so the result is never worse
     than x0.  history holds (iteration, f, max|gradient|, lam) per step.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -284,7 +285,6 @@ def lm_minimize(f_and_grad, rows, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResu
     lam, grow = None, 2.0
     for it in range(cfg.max_iters):
         if gnorm <= cfg.grad_tol:
-            status = "converged"
             break
         r, jac = rows(x)
         gram = jac @ jac.T
@@ -325,6 +325,8 @@ def lm_minimize(f_and_grad, rows, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResu
             grow *= 2.0
         if status == "stalled":
             break
+    if gnorm <= cfg.grad_tol:
+        status = "converged"
     return LbfgsResult(x, f, history, status, n_evals)
 
 

@@ -108,13 +108,20 @@ class TestConfigParsing:
 
     def test_jacobian_counts_toward_the_memory_bound(self, tmp_path, capsys):
         # the default network at 30,000 points: a 0.69 GiB jet workspace,
-        # but a 2.32 GiB Jacobian and a 6.71 GiB J J' beside it
-        with pytest.raises(ConfigError, match="9.03 GiB of optimizer state"):
+        # but a 2.32 GiB Jacobian, a 6.71 GiB J J' and 26.8 GiB more in eigh
+        with pytest.raises(ConfigError, match="35.9 GiB of optimizer state"):
             parse_config("grid.n = 30000\n")
         assert main(["train", "--config", write_cfg(tmp_path, "grid.n = 30000\n"),
                      "--out", str(tmp_path)]) == 2
         assert "optimizer state" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_eigh_counts_toward_the_memory_bound(self):
+        # at 8,000 points J (0.62 GiB) and J J' (0.48 GiB) fit, but eigh's
+        # copy of J J', its workspace and the eigenvectors take 1.91 GiB more
+        with pytest.raises(ConfigError, match="3.01 GiB of optimizer state"):
+            parse_config("grid.n = 8000\n")
+        assert parse_config("grid.n = 6096\n").grid.n == 6096
 
     def test_key_table(self):
         # a new config key is a reviewed change to this list

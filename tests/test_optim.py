@@ -307,6 +307,18 @@ def test_lm_converged_and_max_iters_statuses():
     assert res.fval < 3.0
 
 
+def test_lm_converged_when_its_last_step_meets_grad_tol():
+    # one step from 0 takes max|g| from 5 to 0.0118, under grad_tol = 1: the
+    # run must say so even though that step used up max_iters
+    A = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    f_and_grad, rows = linear_rows(A, np.array([1.0, 2.0, 0.5]))
+    for max_iters in (1, 2):
+        res = lm_minimize(f_and_grad, rows, np.zeros(2),
+                          LbfgsConfig(max_iters=max_iters, grad_tol=1.0))
+        assert res.status == "converged" and len(res.history) == 1
+        assert 0.01 < res.history[0][2] <= 1.0
+
+
 def test_train_refines_through_optim_loss_and_grad(monkeypatch):
     # every loss of the refinement is one that optim.loss_and_grad returned,
     # as a wrapper installed on the module sees them; L-BFGS is not called

@@ -43,6 +43,10 @@ def test_trace_binds_and_restores_every_name(tmp_path, capsys, trained_default):
     recorded = {span[0] for span in tracer.spans}
     assert {"optim.train", "oracle.shoot", "analysis.compare", "analysis.tabulate",
             "cli.load_checkpoint", "cli.write", "plotting.svg"} <= recorded
+    # the layers below the CLI: a kernel or reverse pass called past the
+    # names the trace binds would leave its span out
+    assert {"network.forward", "network.backward", "kernels.forward", "kernels.backward",
+            "grad.loss_and_grad", "optim.adam_step"} <= recorded
     for (module, attr), orig in originals.items():
         assert getattr(module, attr) is orig, f"{module.__name__}.{attr} not restored"
     assert callable(cli.load_config)
