@@ -5,17 +5,19 @@
 Modes: train, solve-oracle, compare, probe-negative, export.
 Each mode computes and checks everything it reports, then returns its
 output files as (path, writer) pairs and its `ok` line.  Only then does main
-write the files, each atomically (temp file + rename), so a failed check
-writes nothing and a failed run never leaves truncated outputs.  Exit codes:
-0 success, 2 config error, 3 numerical divergence, 4 I/O failure.
+write the files: it stages each one beside its target and renames them only
+once the last is written, so a failed check or a failed write leaves none of
+them and never a truncated one.  A run whose outputs name one file twice, or
+the checkpoint it read, is a config error.  Exit codes: 0 success, 2 config
+error, 3 numerical divergence, 4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
-import tempfile
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -25,33 +27,59 @@ from .config import MODES, ConfigError, PathsSpec, RunConfig, load_config, repla
 from .grad import DivergenceError
 from .network import check_workspace, load_checkpoint, save_checkpoint
 from .optim import train
-from .oracle import SolutionTable, backward_blowup, shoot
+from .oracle import BLOWUP_H, SolutionTable, backward_blowup, shoot
 from .plotting import plot_limits, plot_solution_table, solution_curves
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def _atomic(path, write_fn):
-    """Write via a temp file in the target directory, then rename.
+    """Create the new file `path`, its directory if need be, and fill it
+    with write_fn(path); remove it if write_fn fails.
 
-    mkstemp creates the temp file with mode 0600; it is given the mode a
-    plain open() would have given it (0666 less the umask) before the rename.
+    open(path, "x") creates it with the mode a plain open() gives (0666 less
+    the umask) and never takes over a file that exists.  _write_all stages
+    each output through one call; perfbench/spans.py wraps it by this name.
     """
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
-    os.close(fd)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    open(path, "x").close()
     try:
-        write_fn(tmp)
-        os.chmod(tmp, 0o666 & ~_umask())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        write_fn(path)
+    except BaseException:
+        os.unlink(path)
+        raise
+
+
+def _check_targets(files, source: str) -> None:
+    """Raise ConfigError if two of the files' paths, or one of them and the
+    input file `source` (none if empty), resolve to one file."""
+    named = {os.path.realpath(source): "paths.checkpoint_in"} if source else {}
+    for path, _ in files:
+        real = os.path.realpath(path)
+        if real in named:
+            raise ConfigError(f"output {path} is the same file as {named[real]}")
+        named[real] = f"output {path}"
+
+
+def _write_all(files) -> None:
+    """Stage each file beside its target through _atomic, then rename the
+    staged files onto their targets; on any failure remove the staged files
+    not yet renamed.  A target that is a directory, or whose path passes
+    through a missing one (missing/../x, so not normalised), fails while
+    staging, before any rename."""
+    staged = []
+    try:
+        for path, writer in files:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            tmp = os.path.join(os.path.dirname(path), f".tmp-{os.getpid()}-{os.path.basename(path)}")
+            _atomic(tmp, writer)
+            staged.append(tmp)
+        for tmp, (path, _) in zip(staged, files):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
 
 
 def _write_pairs(path, pairs, sep: str, header: str = "") -> None:
@@ -134,7 +162,7 @@ def _cmd_compare(cfg: RunConfig) -> tuple[list, str]:
 def _cmd_probe_negative(cfg: RunConfig) -> tuple[list, str]:
     _, p_prev = _require_checkpoint(cfg)
     p_ext, sing = probe_negative(p_prev, cfg.network, cfg.adam, cfg.lbfgs, cfg.probe)
-    blowup_eta = backward_blowup(sing.pin_value, cfg.oracle.blowup_h)
+    blowup_eta = backward_blowup(sing.pin_value, BLOWUP_H)
     table = tabulate(p_ext, cfg.probe.points)
     pairs = [
         ("pin_value", sing.pin_value),
@@ -167,6 +195,8 @@ def _cmd_export(cfg: RunConfig) -> tuple[list, str]:
     return _table_files(cfg.paths, table, "PINN solution"), f"ok mode=export rows={len(table)}"
 
 
+_READS_CHECKPOINT = ("compare", "probe-negative", "export")   # the modes that call _require_checkpoint
+
 _COMMANDS = {
     "train": _cmd_train,
     "solve-oracle": _cmd_solve_oracle,
@@ -197,8 +227,8 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             files, summary = _COMMANDS[cfg.mode](cfg)
             # written only once every computation and check of the mode has passed
-            for path, writer in files:
-                _atomic(path, writer)
+            _check_targets(files, cfg.paths.checkpoint_in if cfg.mode in _READS_CHECKPOINT else "")
+            _write_all(files)
     except ConfigError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return 2

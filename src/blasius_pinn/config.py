@@ -53,6 +53,8 @@ class PathsSpec:
                 raise ValueError(f"{f.name} contains a NUL character")
             if not path and f.name not in ("checkpoint_in", "plot_out"):
                 raise ValueError(f"{f.name} must not be empty")
+            if path and not os.path.basename(path):
+                raise ValueError(f"{f.name} ends in a path separator, not a file name")
 
     def under(self, out_dir: str) -> PathsSpec:
         """These paths with each relative one joined to out_dir; empty paths

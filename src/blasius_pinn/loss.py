@@ -12,6 +12,7 @@ negative eta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,8 @@ class CollocationGrid:
     def __post_init__(self):
         if not self.eta0 < self.eta_m:
             raise ValueError("grid requires eta0 < eta_m")
+        if not math.isfinite(self.eta_m - self.eta0):
+            raise ValueError("grid requires a finite span eta_m - eta0")
         if self.n < 2:
             raise ValueError("grid requires n >= 2")
         if self.n > MAX_POINTS:

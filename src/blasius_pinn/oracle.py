@@ -24,6 +24,7 @@ SHOOT_TOL = 1e-10           # shoot stops once |f'(eta_max) - 1| is this small
 SHOOT_MAX_ITERS = 100       # secant (and scaled-root Newton) iterations
 MAX_STEPS = 10 ** 7         # RK4 steps one integration may be asked for
 BLOWUP_STEP = 0.01          # backward_blowup's step, as a share of the pole distance
+BLOWUP_H = 1e-5             # backward_blowup's lattice step in probe-negative
 
 
 @dataclass
@@ -79,11 +80,10 @@ def coarse_step(h: float, eta_max: float) -> float:
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """shoot's h and eta_max and backward_blowup's h, within MAX_STEPS."""
+    """shoot's h and eta_max, within MAX_STEPS."""
 
     h: float = 1e-4
     eta_max: float = 8.0
-    blowup_h: float = 1e-5
 
     def __post_init__(self):
         for f in fields(self):
@@ -92,7 +92,6 @@ class OracleSpec:
         if step_count(self.h, self.eta_max) < 1:
             raise ValueError("eta_max / h must round to at least 1 RK4 step")
         step_count(coarse_step(self.h, self.eta_max), self.eta_max)
-        step_count(self.blowup_h, ETA_FLOOR)
 
 
 def _march(f, fp, fpp, h, steps, limit):

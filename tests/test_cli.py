@@ -131,7 +131,7 @@ class TestConfigParsing:
             "lbfgs.grad_tol", "lbfgs.max_iters",
             "mode",
             "network.depth", "network.seed", "network.width",
-            "oracle.blowup_h", "oracle.eta_max", "oracle.h",
+            "oracle.eta_max", "oracle.h",
             "paths.checkpoint_in", "paths.checkpoint_out", "paths.csv_out",
             "paths.curve_out", "paths.plot_out", "paths.report_out",
             "probe.eta0", "probe.eta_m", "probe.n",
@@ -243,7 +243,6 @@ class TestCliModes:
             "adam.switch_tol = 1e-12\n"
             "lbfgs.max_iters = 15\n"
             "probe.n = 20\n"
-            "oracle.blowup_h = 1e-3\n"
             "paths.checkpoint_in = checkpoint.txt\n"
             "paths.checkpoint_out = extended.txt\n"
             "paths.csv_out = extended.csv\n"
@@ -271,7 +270,6 @@ class TestCliModes:
             FAST_TRAIN +
             "probe.eta0 = -4.5\n"
             "probe.n = 20\n"
-            "oracle.blowup_h = 1e-3\n"
             "paths.checkpoint_in = checkpoint.txt\n"
             "paths.checkpoint_out = extended.txt\n"
             "paths.csv_out = extended.csv\n"
@@ -332,7 +330,7 @@ class TestCliModes:
 
     def test_probe_report_format(self, tmp_path, capsys):
         assert main(["train", "--config", write_cfg(tmp_path, FAST_TRAIN), "--out", str(tmp_path)]) == 0
-        cfg = write_cfg(tmp_path, FAST_TRAIN + "probe.n = 20\noracle.blowup_h = 1e-3\n"
+        cfg = write_cfg(tmp_path, FAST_TRAIN + "probe.n = 20\n"
                                   "paths.checkpoint_in = checkpoint.txt\n"
                                   "paths.checkpoint_out = extended.txt\n"
                                   "paths.report_out = probe.csv\n", name="probe.cfg")
@@ -423,7 +421,6 @@ class TestCliErrors:
         ("solve-oracle", "oracle.h = 1e-300"),
         ("solve-oracle", "oracle.eta_max = 1e300"),
         ("solve-oracle", "oracle.eta_max = 1e-9"),
-        ("solve-oracle", "oracle.blowup_h = 1e-300"),
         # 10^7 fine steps, but shoot's coarse pass at step 1e-2 takes more
         ("solve-oracle", "oracle.eta_max = 1e6\noracle.h = 0.1"),
         ("solve-oracle", "oracle.eta_max = 1e300\noracle.h = 1e294"),
@@ -433,11 +430,15 @@ class TestCliErrors:
         ("train", "grid.n = 1000000"),
         ("train", "network.depth = 1000000\nnetwork.width = 1"),
         ("probe-negative", "paths.checkpoint_in = ck.txt\nprobe.eta_m = 1000000"),
-        ("probe-negative", "paths.checkpoint_in = ck.txt\nadam.max_steps = 0\n"
-                           "lbfgs.max_iters = 0\noracle.blowup_h = 1e-300"),
         # output paths must be given
         ("solve-oracle", "paths.csv_out ="),
         ("train", "paths.checkpoint_out ="),
+        # and name a file, not a directory
+        ("train", "paths.curve_out = sub/"),
+        # a grid span past the float range, whose linspace nodes are nan and inf
+        ("train", "grid.eta0 = -1e308\ngrid.eta_m = 1e308"),
+        ("export", "paths.checkpoint_in = ck.txt\ngrid.eta0 = -1e308\ngrid.eta_m = 1e308"),
+        ("probe-negative", "paths.checkpoint_in = ck.txt\nprobe.eta0 = -1e308\nprobe.eta_m = 1e308"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, mode, line):
         # a valid checkpoint, so a mode that reads one gets past loading it
@@ -522,7 +523,7 @@ class TestCliErrors:
 
         monkeypatch.setattr(cli, "plot_limits", unplottable)
         cfg = write_cfg(tmp_path, FAST_TRAIN + "probe.n = 20\noracle.h = 1e-2\n"
-                                  "oracle.blowup_h = 1e-3\npaths.checkpoint_in = ck.txt\n"
+                                  "paths.checkpoint_in = ck.txt\n"
                                   "paths.plot_out = sol.svg\n")
         assert main([mode, "--config", cfg, "--out", str(tmp_path)]) == 3
         out, err = capsys.readouterr()
@@ -572,6 +573,34 @@ class TestCliErrors:
         assert len(table) == 2 and abs(table.fp[-1] - 1.0) <= 1e-10
         assert table.fpp[0] == pytest.approx(1e300, rel=1e-12)
 
+    @pytest.mark.parametrize("mode,text,names", [
+        # the extended network would replace the trained one it was read from
+        ("probe-negative", "paths.checkpoint_in = checkpoint.txt\n", "paths.checkpoint_in"),
+        ("compare", "paths.checkpoint_in = checkpoint.txt\npaths.csv_out = checkpoint.txt\n",
+         "paths.checkpoint_in"),
+        # the report would replace the table
+        ("train", "paths.csv_out = same.txt\npaths.report_out = same.txt\n", "output"),
+        ("solve-oracle", "paths.csv_out = t.csv\npaths.plot_out = ./t.csv\n", "output"),
+    ], ids=["probe_checkpoint", "compare_csv", "train_csv_report", "solve-oracle_csv_plot"])
+    def test_outputs_that_name_one_file_exit_2(self, tmp_path, capsys, mode, text, names):
+        net = NetworkConfig(1, 8, 0)
+        save_checkpoint(tmp_path / "checkpoint.txt", net, init_params(net))
+        before = (tmp_path / "checkpoint.txt").read_bytes()
+        cfg = write_cfg(tmp_path, FAST_TRAIN + "probe.n = 20\noracle.h = 1e-2\n" + text)
+        assert main([mode, "--config", cfg, "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: config: output ") and err.count("\n") == 1
+        assert f"is the same file as {names}" in err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["checkpoint.txt", "run.cfg"]
+        assert (tmp_path / "checkpoint.txt").read_bytes() == before
+
+    def test_train_may_write_the_checkpoint_it_does_not_read(self, tmp_path, capsys):
+        # one config for train and then compare: train ignores paths.checkpoint_in
+        cfg = write_cfg(tmp_path, FAST_TRAIN + "paths.checkpoint_in = checkpoint.txt\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert load_checkpoint(tmp_path / "checkpoint.txt")[0] == NetworkConfig(1, 8, 0)
+
     def test_unknown_mode_rejected_by_argparse(self, tmp_path, capsys):
         assert main(["swim", "--out", str(tmp_path)]) == 2
         capsys.readouterr()
@@ -581,6 +610,36 @@ class TestCliErrors:
         rc = main(["solve-oracle", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 4
         assert "error: io:" in capsys.readouterr().err
+
+    def test_failed_write_leaves_no_outputs(self, tmp_path, capsys, monkeypatch):
+        # the checkpoint and the report are staged before the loss curve's
+        # directory cannot be made: the run leaves none of them
+        cfg = write_cfg(tmp_path, FAST_TRAIN + "paths.curve_out = /proc/readonly/curve.csv\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "error: io:" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
+
+        # the table is staged before a plot path that a rename could not
+        # reach (missing/.. needs missing) or replace (a directory)
+        (tmp_path / "dir.svg").mkdir()
+        for plot in ("missing/../sol.svg", "dir.svg"):
+            cfg = write_cfg(tmp_path, f"oracle.h = 1e-2\npaths.plot_out = {plot}\n")
+            assert main(["solve-oracle", "--config", cfg, "--out", str(tmp_path)]) == 4
+            assert "error: io:" in capsys.readouterr().err
+            assert sorted(f.name for f in tmp_path.iterdir()) == ["dir.svg", "run.cfg"]
+        (tmp_path / "dir.svg").rmdir()
+
+        # and before a plot writer that fails part-way
+        def full_disk(table, path, title):
+            with open(path, "w") as fh:
+                fh.write("<svg")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "plot_solution_table", full_disk)
+        cfg = write_cfg(tmp_path, "oracle.h = 1e-2\npaths.plot_out = sol.svg\n")
+        assert main(["solve-oracle", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_failed_run_leaves_no_partial_files(self, tmp_path, capsys):
         # atomic writes: a failing run must not leave temp or partial outputs
