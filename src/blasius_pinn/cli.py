@@ -3,13 +3,13 @@
     blasius-pinn <mode> --config <path> [--seed N] [--out DIR]
 
 Modes: train, solve-oracle, compare, probe-negative, export.
-Each mode computes and checks everything it reports, then returns its
-output files as (path, writer) pairs and its `ok` line.  Only then does main
-write the files: it stages each one beside its target and renames them only
-once the last is written, so a failed check or a failed write leaves none of
-them and never a truncated one.  A run whose outputs name one file twice, or
-the checkpoint it read, is a config error.  Exit codes: 0 success, 2 config
-error, 3 numerical divergence, 4 I/O failure.
+A table declares the files each mode reads and writes, checked before any
+compute: outputs naming one file twice, or the checkpoint read, are a config
+error.  The mode computes and checks everything it reports, then returns a
+writer per output and its `ok` line.  Then main stages each file beside its
+target and renames them only once the last is written, so a failed check or a
+failed write leaves none of them and never a truncated one.  Exit codes: 0
+success, 2 config error, 3 numerical divergence, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -48,29 +48,31 @@ def _atomic(path, write_fn):
         raise
 
 
-def _check_targets(files, source: str) -> None:
-    """Raise ConfigError if two of the files' paths, or one of them and the
-    input file `source` (none if empty), resolve to one file."""
+def _check_targets(paths, source: str) -> None:
+    """Raise ConfigError if two of the output paths, or one of them and the
+    input file `source` (none if empty), resolve to one file, and
+    IsADirectoryError if one of them is a directory."""
     named = {os.path.realpath(source): "paths.checkpoint_in"} if source else {}
-    for path, _ in files:
+    for path in paths:
         real = os.path.realpath(path)
         if real in named:
             raise ConfigError(f"output {path} is the same file as {named[real]}")
         named[real] = f"output {path}"
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _write_all(files) -> None:
-    """Stage each file beside its target through _atomic, then rename the
-    staged files onto their targets; on any failure remove the staged files
-    not yet renamed.  A target that is a directory, or whose path passes
-    through a missing one (missing/../x, so not normalised), fails while
-    staging, before any rename."""
+    """Stage each file beside its target through _atomic, as .tmp-<pid>-<k>
+    for the k-th file, then rename the staged files onto their targets; on any
+    failure remove the staged files not yet renamed.  A target whose path
+    passes through a missing directory (missing/../x, so not normalised)
+    fails while staging, before any rename."""
     staged = []
     try:
-        for path, writer in files:
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            tmp = os.path.join(os.path.dirname(path), f".tmp-{os.getpid()}-{os.path.basename(path)}")
+        for k, (path, writer) in enumerate(files):
+            tmp = os.path.join(os.path.dirname(path), f".tmp-{os.getpid()}-{k}")
             _atomic(tmp, writer)
             staged.append(tmp)
         for tmp, (path, _) in zip(staged, files):
@@ -95,21 +97,21 @@ def _write_pairs(path, pairs, sep: str, header: str = "") -> None:
             fh.write(f"{key}{sep}{value}\n")
 
 
-def _table_files(paths: PathsSpec, table: SolutionTable, title: str) -> list:
-    """The table as paths.csv_out, and as an SVG plot if paths.plot_out is
-    set.  Raises DivergenceError if the plot is set and the table cannot be
-    plotted."""
-    files = [(paths.csv_out, table.to_csv)]
+def _table_files(paths: PathsSpec, table: SolutionTable, title: str) -> dict:
+    """Writers of the table as paths.csv_out, and as an SVG plot if
+    paths.plot_out is set.  Raises DivergenceError if the plot is set and the
+    table cannot be plotted."""
+    files = {"csv_out": table.to_csv}
     if paths.plot_out:
         try:
             plot_limits(table.eta, solution_curves(table))
         except ValueError as err:
             raise DivergenceError(f"cannot plot the table: {err}") from err
-        files.append((paths.plot_out, lambda tmp: plot_solution_table(table, tmp, title=title)))
+        files["plot_out"] = lambda tmp: plot_solution_table(table, tmp, title=title)
     return files
 
 
-def _cmd_train(cfg: RunConfig) -> tuple[list, str]:
+def _cmd_train(cfg: RunConfig, _) -> tuple[dict, str]:
     p, report = train(cfg.network, cfg.adam, cfg.lbfgs, cfg.grid)
     table = tabulate(p, cfg.grid.points)
     losses = [(f"loss_{k}", getattr(report.final, k))
@@ -120,17 +122,17 @@ def _cmd_train(cfg: RunConfig) -> tuple[list, str]:
               ("wall_time_s", f"{report.wall_time_s:.3f}")]
     curve = [(f"adam,{i}", f) for i, f in enumerate(report.adam_curve)]
     curve += [(f"lbfgs,{it}", f) for it, f, _, _ in report.lbfgs_history]
-    files = [
-        (cfg.paths.checkpoint_out, lambda tmp: save_checkpoint(tmp, cfg.network, p)),
-        (cfg.paths.report_out, lambda tmp: _write_pairs(tmp, fields, ": ")),
-        (cfg.paths.curve_out, lambda tmp: _write_pairs(tmp, curve, ",", "phase,step,loss\n")),
-        *_table_files(cfg.paths, table, "PINN solution"),
-    ]
+    files = {
+        "checkpoint_out": lambda tmp: save_checkpoint(tmp, cfg.network, p),
+        "report_out": lambda tmp: _write_pairs(tmp, fields, ": "),
+        "curve_out": lambda tmp: _write_pairs(tmp, curve, ",", "phase,step,loss\n"),
+        **_table_files(cfg.paths, table, "PINN solution"),
+    }
     return files, (f"ok mode=train loss_total={report.final.total:.6g} "
                    f"lbfgs_status={report.lbfgs_status} seed={cfg.network.seed}")
 
 
-def _cmd_solve_oracle(cfg: RunConfig) -> tuple[list, str]:
+def _cmd_solve_oracle(cfg: RunConfig, _) -> tuple[dict, str]:
     res = shoot(h=cfg.oracle.h, eta_max=cfg.oracle.eta_max)
     return (_table_files(cfg.paths, res.table, "Shooting solution"),
             f"ok mode=solve-oracle s_star={res.s_star:.9g} h={res.h:g} "
@@ -146,21 +148,19 @@ def _require_checkpoint(cfg: RunConfig):
         check_workspace(net, TABULATE_BLOCK)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    return net, p
+    return p
 
 
-def _cmd_compare(cfg: RunConfig) -> tuple[list, str]:
-    _, p = _require_checkpoint(cfg)
+def _cmd_compare(cfg: RunConfig, p) -> tuple[dict, str]:
     res = shoot(h=cfg.oracle.h, eta_max=cfg.oracle.eta_max)
     rep = compare(p, res.table)
     pairs = asdict(rep).items()
-    return ([(cfg.paths.csv_out, lambda tmp: _write_pairs(tmp, pairs, ",", "field,value\n"))],
+    return ({"csv_out": lambda tmp: _write_pairs(tmp, pairs, ",", "field,value\n")},
             f"ok mode=compare wall_curvature_pinn={rep.wall_curvature_pinn:.6g} "
             f"max_abs_err_f={rep.max_abs_err_f:.3g}")
 
 
-def _cmd_probe_negative(cfg: RunConfig) -> tuple[list, str]:
-    _, p_prev = _require_checkpoint(cfg)
+def _cmd_probe_negative(cfg: RunConfig, p_prev) -> tuple[dict, str]:
     p_ext, sing = probe_negative(p_prev, cfg.network, cfg.adam, cfg.lbfgs, cfg.probe)
     blowup_eta = backward_blowup(sing.pin_value, BLOWUP_H)
     table = tabulate(p_ext, cfg.probe.points)
@@ -176,11 +176,11 @@ def _cmd_probe_negative(cfg: RunConfig) -> tuple[list, str]:
         ("converged", int(sing.converged)),
         ("lbfgs_status", sing.report.lbfgs_status),
     ]
-    files = [
-        (cfg.paths.checkpoint_out, lambda tmp: save_checkpoint(tmp, cfg.network, p_ext)),
-        *_table_files(cfg.paths, table, "Negative-axis extension"),
-        (cfg.paths.report_out, lambda tmp: _write_pairs(tmp, pairs, ",", "field,value\n")),
-    ]
+    files = {
+        "checkpoint_out": lambda tmp: save_checkpoint(tmp, cfg.network, p_ext),
+        "report_out": lambda tmp: _write_pairs(tmp, pairs, ",", "field,value\n"),
+        **_table_files(cfg.paths, table, "Negative-axis extension"),
+    }
     onset = "none" if sing.onset_eta is None else f"{sing.onset_eta:.4f}"
     pole = "none" if sing.pole_eta is None else f"{sing.pole_eta:.4f}"
     blowup = "none" if blowup_eta is None else f"{blowup_eta:.5f}"
@@ -189,20 +189,19 @@ def _cmd_probe_negative(cfg: RunConfig) -> tuple[list, str]:
                    f"lbfgs_status={sing.report.lbfgs_status}")
 
 
-def _cmd_export(cfg: RunConfig) -> tuple[list, str]:
-    _, p = _require_checkpoint(cfg)
+def _cmd_export(cfg: RunConfig, p) -> tuple[dict, str]:
     table = tabulate(p, cfg.grid.points)
     return _table_files(cfg.paths, table, "PINN solution"), f"ok mode=export rows={len(table)}"
 
 
-_READS_CHECKPOINT = ("compare", "probe-negative", "export")   # the modes that call _require_checkpoint
-
-_COMMANDS = {
-    "train": _cmd_train,
-    "solve-oracle": _cmd_solve_oracle,
-    "compare": _cmd_compare,
-    "probe-negative": _cmd_probe_negative,
-    "export": _cmd_export,
+# mode: its command, whether it reads paths.checkpoint_in (then passed to the
+# command as parameters) and the PathsSpec fields it writes, in staging order
+_MODES = {
+    "train": (_cmd_train, False, ("checkpoint_out", "report_out", "curve_out", "csv_out", "plot_out")),
+    "solve-oracle": (_cmd_solve_oracle, False, ("csv_out", "plot_out")),
+    "compare": (_cmd_compare, True, ("csv_out",)),
+    "probe-negative": (_cmd_probe_negative, True, ("checkpoint_out", "csv_out", "plot_out", "report_out")),
+    "export": (_cmd_export, True, ("csv_out", "plot_out")),
 }
 
 
@@ -222,13 +221,14 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = replace_section(cfg, "network", seed=args.seed)
         cfg = replace(cfg, mode=args.mode, paths=cfg.paths.under(args.out))
+        command, reads, fields = _MODES[cfg.mode]
+        targets = {f: getattr(cfg.paths, f) for f in fields if getattr(cfg.paths, f)}
         # an overflow ends in DivergenceError, which reports it: numpy's
         # warnings on the way there would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            files, summary = _COMMANDS[cfg.mode](cfg)
-            # written only once every computation and check of the mode has passed
-            _check_targets(files, cfg.paths.checkpoint_in if cfg.mode in _READS_CHECKPOINT else "")
-            _write_all(files)
+            _check_targets(targets.values(), cfg.paths.checkpoint_in if reads else "")
+            writers, summary = command(cfg, _require_checkpoint(cfg) if reads else None)
+            _write_all([(path, writers[f]) for f, path in targets.items()])
     except ConfigError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return 2

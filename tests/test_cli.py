@@ -28,6 +28,21 @@ grid.n = 20
 """
 
 
+# outputs that resolve to one file: the mode, its config lines and what the
+# first output that collides is the same file as
+SAME_FILE = {
+    # the extended network would replace the trained one it was read from
+    "probe_checkpoint": ("probe-negative", "paths.checkpoint_in = checkpoint.txt\n",
+                         "paths.checkpoint_in"),
+    "compare_csv": ("compare", "paths.checkpoint_in = checkpoint.txt\npaths.csv_out = checkpoint.txt\n",
+                    "paths.checkpoint_in"),
+    # the report would replace the table
+    "train_csv_report": ("train", "paths.csv_out = same.txt\npaths.report_out = same.txt\n", "output"),
+    "solve-oracle_csv_plot": ("solve-oracle", "paths.csv_out = t.csv\npaths.plot_out = ./t.csv\n",
+                              "output"),
+}
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -573,15 +588,7 @@ class TestCliErrors:
         assert len(table) == 2 and abs(table.fp[-1] - 1.0) <= 1e-10
         assert table.fpp[0] == pytest.approx(1e300, rel=1e-12)
 
-    @pytest.mark.parametrize("mode,text,names", [
-        # the extended network would replace the trained one it was read from
-        ("probe-negative", "paths.checkpoint_in = checkpoint.txt\n", "paths.checkpoint_in"),
-        ("compare", "paths.checkpoint_in = checkpoint.txt\npaths.csv_out = checkpoint.txt\n",
-         "paths.checkpoint_in"),
-        # the report would replace the table
-        ("train", "paths.csv_out = same.txt\npaths.report_out = same.txt\n", "output"),
-        ("solve-oracle", "paths.csv_out = t.csv\npaths.plot_out = ./t.csv\n", "output"),
-    ], ids=["probe_checkpoint", "compare_csv", "train_csv_report", "solve-oracle_csv_plot"])
+    @pytest.mark.parametrize("mode,text,names", SAME_FILE.values(), ids=list(SAME_FILE))
     def test_outputs_that_name_one_file_exit_2(self, tmp_path, capsys, mode, text, names):
         net = NetworkConfig(1, 8, 0)
         save_checkpoint(tmp_path / "checkpoint.txt", net, init_params(net))
@@ -593,6 +600,28 @@ class TestCliErrors:
         assert f"is the same file as {names}" in err
         assert sorted(f.name for f in tmp_path.iterdir()) == ["checkpoint.txt", "run.cfg"]
         assert (tmp_path / "checkpoint.txt").read_bytes() == before
+
+    @pytest.mark.parametrize("mode,text,code", [
+        *((mode, text, 2) for mode, text, _ in SAME_FILE.values()),
+        ("solve-oracle", "paths.plot_out = dir.svg\n", 4),
+    ], ids=[*SAME_FILE, "solve-oracle_dir_plot"])
+    def test_targets_are_checked_before_compute(self, tmp_path, capsys, monkeypatch,
+                                                mode, text, code):
+        # a colliding or directory target fails before any training, shooting
+        # or tabulating starts
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the output targets were checked")
+
+        for name in ("train", "shoot", "compare", "probe_negative", "tabulate"):
+            monkeypatch.setattr(cli, name, computed)
+        net = NetworkConfig(1, 8, 0)
+        save_checkpoint(tmp_path / "checkpoint.txt", net, init_params(net))
+        (tmp_path / "dir.svg").mkdir()
+        cfg = write_cfg(tmp_path, FAST_TRAIN + "probe.n = 20\noracle.h = 1e-2\n" + text)
+        assert main([mode, "--config", cfg, "--out", str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["checkpoint.txt", "dir.svg", "run.cfg"]
 
     def test_train_may_write_the_checkpoint_it_does_not_read(self, tmp_path, capsys):
         # one config for train and then compare: train ignores paths.checkpoint_in
@@ -610,6 +639,15 @@ class TestCliErrors:
         rc = main(["solve-oracle", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 4
         assert "error: io:" in capsys.readouterr().err
+
+    def test_output_name_of_250_characters_exits_0(self, tmp_path, capsys):
+        # the staged file's name stays short however long the target's is
+        name = "a" * 250 + ".csv"
+        cfg = write_cfg(tmp_path, f"oracle.h = 1e-2\npaths.csv_out = {name}\n")
+        assert main(["solve-oracle", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert sorted(f.name for f in tmp_path.iterdir()) == [name, "run.cfg"]
+        assert len(read_solution_csv(tmp_path / name)) > 1
 
     def test_failed_write_leaves_no_outputs(self, tmp_path, capsys, monkeypatch):
         # the checkpoint and the report are staged before the loss curve's
