@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import CollocationGrid, LossBreakdown, loss_terms, residual_rows, row_points
-from .network import ParamVector, Workspace, backward_jet_batch, forward_jet_batch, row_jacobian
+from .network import ParamVector, Workspace, backward_jet_batch, forward_jet_batch, row_gram
 
 
 class DivergenceError(RuntimeError):
@@ -51,14 +51,14 @@ def loss_and_grad(p: ParamVector, grid: CollocationGrid, pin: float | None = Non
     return GradResult(breakdown, grad)
 
 
-def residual_jacobian(p: ParamVector, grid: CollocationGrid, pin: float | None = None,
-                      *, ws: Workspace, out: np.ndarray) -> np.ndarray:
-    """The loss's rows r at p (see loss.residual_rows) and their Jacobian.
+def residual_gram(p: ParamVector, grid: CollocationGrid, pin: float | None = None,
+                  *, ws: Workspace):
+    """The loss's rows r at p (see loss.residual_rows), G = J J' and the map
+    w -> J'w, for their Jacobian J = dr/d(theta), which is never formed.
 
     One forward pass over the m rows' points (`loss.row_points`), so `ws`
-    holds at least m points, then row_jacobian writes dr/d(theta) into `out`
-    (m, len(p)).  The total loss is sum(r * r) and its gradient 2 J'r.
-    Returns r.
+    holds at least m points, then network.row_gram.  The total loss is
+    sum(r * r) and its gradient 2 J'r.  Returns (r, G, J'-map).
     """
     n = grid.n
     etas = grid.anchored_points[row_points(n, pin is not None)]
@@ -67,5 +67,4 @@ def residual_jacobian(p: ParamVector, grid: CollocationGrid, pin: float | None =
     r, seeds = residual_rows(y[:, : n + 2], pin)
     if not np.all(np.isfinite(r)):
         raise DivergenceError("non-finite residual row")
-    row_jacobian(p, ws, seeds, out)
-    return r
+    return (r,) + row_gram(p, ws, seeds)

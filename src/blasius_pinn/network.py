@@ -196,7 +196,7 @@ def forward_jet_batch(p: ParamVector, etas: np.ndarray, *, ws: Workspace | None 
 
 
 def _reverse(p: ParamVector, ws: Workspace, seeds: np.ndarray):
-    """The reverse pass that backward_jet_batch and row_jacobian share, from
+    """The reverse pass that backward_jet_batch and row_gram share, from
     the output adjoint seeds (4, n) over the forward pass that `ws` holds.
 
     Last layer first, it yields (li, zbar, a_in): the adjoint of the layer's
@@ -250,27 +250,62 @@ def backward_jet_batch(p: ParamVector, ws: Workspace, ybar: np.ndarray) -> np.nd
     return flat
 
 
-def row_jacobian(p: ParamVector, ws: Workspace, seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Rows of the Jacobian: out[k] = d(sum(seeds[:, k] * y[:, k]))/d(params).
+def row_gram(p: ParamVector, ws: Workspace, seeds: np.ndarray):
+    """G = J J' and the map w -> J'w for the rows' Jacobian J, without J.
 
-    backward_jet_batch without its sums over points: `ws` holds a forward
-    pass at p over the m = seeds.shape[1] points, one point per row, and
-    `out` (m, len(p)) receives one parameter gradient per row, in
-    ParamVector's layout.  Returns out.
+    Row k of J is d(sum(seeds[:, k] * y[:, k]))/d(params) over the forward
+    pass at p that `ws` holds, m = seeds.shape[1] points, one per row.  A
+    layer's rows are adjoints zbar (4, m, fo) and input jets a (4, m, fi):
+    row k's weight block is sum over channels c of zbar[c, k] outer a[c, k],
+    so its part of G is Z_0 Z_0' (the bias) plus the sum over channel pairs
+    (c, d) of (Z_c Z_d') * (A_c A_d'), elementwise, and its part of J'w is
+    w'Z_0 and the stacked (w * Z)' A.  A layer with fan_in or fan_out 1
+    builds its m-row block of J instead.  The map reads copies of the
+    layers' factors, so it stays valid after `ws` is reused.
     """
     m = seeds.shape[1]
-    blocks = list(layer_views(out, p.shapes))
+    gram = np.zeros((m, m))
+    prod, other = np.empty((2, m, m))
+    parts = [None] * len(p.shapes)
     for li, zbar, a_in in _reverse(p, ws, seeds):
-        wrows, brows = blocks[li]
-        np.copyto(brows, zbar[0])
-        if a_in is None:
-            np.multiply(zbar[0], ws.eta[:m, None], out=wrows[:, :, 0])
-            wrows[:, :, 0] += zbar[1]
-        else:
-            # per row, the weight adjoint is sum over channels c of
-            # zbar[c] (fo) outer a_in[c] (fi): (m, fo, 4) @ (m, 4, fi)
-            np.matmul(zbar.transpose(1, 2, 0), a_in.transpose(1, 0, 2), out=wrows)
-    return out
+        fi, fo = p.shapes[li]
+        if fi == 1 or fo == 1:
+            block = np.empty((m, fi * fo + fo))
+            wrows, brows = next(layer_views(block, [(fi, fo)]))
+            np.copyto(brows, zbar[0])
+            if a_in is None:
+                np.multiply(zbar[0], ws.eta[:m, None], out=wrows[:, :, 0])
+                wrows[:, :, 0] += zbar[1]
+            else:
+                # (m, fo, 4) @ (m, 4, fi): per row, sum over the channels
+                np.matmul(zbar.transpose(1, 2, 0), a_in.transpose(1, 0, 2), out=wrows)
+            gram += np.matmul(block, block.T, out=prod)
+            parts[li] = (wrows, brows, None)
+            continue
+        z, a = zbar.copy(), a_in.copy()
+        gram += np.matmul(z[0], z[0].T, out=prod)
+        for c in range(4):
+            for d in range(c, 4):
+                np.matmul(z[c], z[d].T, out=prod)
+                prod *= np.matmul(a[c], a[d].T, out=other)
+                gram += prod
+                if d > c:
+                    gram += prod.T
+        parts[li] = (z, z[0], a)
+
+    def jt(w: np.ndarray) -> np.ndarray:
+        flat = np.empty(len(p))
+        for (wbar, bbar), (z, z0, a) in zip(layer_views(flat, p.shapes), parts):
+            fo, fi = wbar.shape
+            np.matmul(w, z0, out=bbar)
+            if a is None:
+                # z holds the layer's weight rows of J, (m, fo, fi)
+                np.matmul(w, z.reshape(m, fo * fi), out=wbar.reshape(fo * fi))
+            else:
+                np.matmul((z * w[:, None]).reshape(4 * m, fo).T, a.reshape(4 * m, fi), out=wbar)
+        return flat
+
+    return gram, jt
 
 
 def save_checkpoint(path, cfg: NetworkConfig, p: ParamVector) -> None:

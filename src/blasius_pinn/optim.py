@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grad import DivergenceError, loss_and_grad, residual_jacobian
+from .grad import DivergenceError, loss_and_grad, residual_gram
 from .loss import CollocationGrid, LossBreakdown, loss_total, row_count
 from .network import NetworkConfig, ParamVector, Workspace, init_params
 
@@ -36,13 +36,27 @@ MAX_LINE_EVALS = 25          # trial steps per line search
 LM_DAMPING_START = 1e-3
 LM_DAMPING_FLOOR = 1e-10     # J J' is numerically singular: most eigenvalues sit near 0
 LM_DAMPING_CAP = 1e6         # no step that lowers the loss at this damping: stalled
+BLAS_BUFFER_BYTES = 2 ** 25  # OpenBLAS's packing buffers: 10-16 MiB touched at 3,003 rows
 
 
 def lm_bytes(cfg: NetworkConfig, rows: int) -> int:
-    """Peak bytes of Levenberg-Marquardt for cfg's network: the Jacobian
-    (rows x parameters), J J' (rows x rows) and the 4 rows^2 more that eigh
-    (LAPACK dsyevd) holds: its copy of J J', workspace and eigenvectors."""
-    return 8 * (rows * cfg.param_count() + 5 * rows * rows)
+    """Peak bytes of a Levenberg-Marquardt step for cfg's network at m rows,
+    beside the jet workspace.
+
+    Live at the peak, while eigh runs: network.row_gram's copies of the
+    layers' factors (the first and the last layer's m-row blocks of J,
+    m (3 w + 1), and 4 m (fi + fo) adjoint and input jets for each layer
+    between; every layer's block when w = 1), G (m^2) and the 4 m^2 that
+    eigh (LAPACK dsyevd) holds beside G: its copy, workspace and
+    eigenvectors.  row_gram's 2 m^2 of pair products are freed before eigh
+    runs, and each step frees the previous step's arrays before forming G.
+    On top, a second factor-sized set and BLAS_BUFFER_BYTES: the products
+    of J'w, the heap that the allocator keeps from freed arrays and the BLAS
+    library's packing buffers.
+    """
+    w = cfg.width
+    factors = cfg.param_count() if w == 1 else 3 * w + 1 + 8 * w * (cfg.depth - 1)
+    return 8 * rows * (2 * factors + 5 * rows) + BLAS_BUFFER_BYTES
 
 
 @dataclass(frozen=True)
@@ -261,20 +275,21 @@ def lm_minimize(f_and_grad, rows, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResu
     """Levenberg-Marquardt on f = sum(r * r), in the space of the m rows.
 
     f_and_grad(x) -> (f, gradient) evaluates every trial point, and
-    rows(x) -> (r, J) gives the rows and their Jacobian (m x len(x)) at each
-    accepted one.  The step is -J' (J J' + lam I)^-1 r: one eigensolve of
-    the m x m matrix J J' per accepted point serves every damping tried
-    there.  lam follows the gain ratio rho of the actual to the predicted
-    decrease (Nielsen's rule; Madsen, Nielsen & Tingleff 2004): after a
-    step that lowers f it is scaled by max(1/3, 1 - (2 rho - 1)^3), after
-    one that does not it grows by a factor that doubles each time.  lam is
-    kept between LM_DAMPING_FLOOR and LM_DAMPING_CAP times the largest
-    eigenvalue of J J'.
+    rows(x) -> (r, G, jt) gives, at each accepted one, the rows, G = J J'
+    (m x m) and the map jt: w -> J'w for their Jacobian J (m x len(x)).
+    The step is -J' (G + lam I)^-1 r: one eigensolve of G per accepted
+    point serves every damping tried there.  lam follows the gain ratio rho
+    of the actual to the predicted decrease (Nielsen's rule; Madsen,
+    Nielsen & Tingleff 2004): after a step that lowers f it is scaled by
+    max(1/3, 1 - (2 rho - 1)^3), after one that does not it grows by a
+    factor that doubles each time.  lam is kept between LM_DAMPING_FLOOR
+    and LM_DAMPING_CAP times the largest eigenvalue of G.
 
     Stops as "converged" once max|gradient| <= grad_tol, at x0 or after any
     step (the last one included), as "stalled" when no step at the damping
-    cap lowers f, and as "max_iters" after max_iters steps.  Only steps that lower f are taken, so the result is never worse
-    than x0.  history holds (iteration, f, max|gradient|, lam) per step.
+    cap lowers f, and as "max_iters" after max_iters steps.  Only steps
+    that lower f are taken, so the result is never worse than x0.  history
+    holds (iteration, f, max|gradient|, lam) per step.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = f_and_grad(x)
@@ -286,10 +301,9 @@ def lm_minimize(f_and_grad, rows, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResu
     for it in range(cfg.max_iters):
         if gnorm <= cfg.grad_tol:
             break
-        r, jac = rows(x)
-        gram = jac @ jac.T
+        r, gram, jt = rows(x)
         if not np.all(np.isfinite(gram)):
-            raise DivergenceError("non-finite residual Jacobian")
+            raise DivergenceError("non-finite J J' of the residual rows")
         w, v = np.linalg.eigh(gram)
         np.maximum(w, 0.0, out=w)       # rounding leaves some slightly negative
         c = v.T @ r
@@ -301,7 +315,7 @@ def lm_minimize(f_and_grad, rows, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResu
         lam = min(max(lam, LM_DAMPING_FLOOR * top), LM_DAMPING_CAP * top)
         while True:
             d = w + lam
-            step = -(jac.T @ (v @ (c / d)))
+            step = -jt(v @ (c / d))
             # the model's f at the step is |lam u|^2, u = (J J' + lam I)^-1 r
             predicted = float(np.sum(c * c * w * (w + 2.0 * lam) / (d * d)))
             x_new = x + step
@@ -325,6 +339,8 @@ def lm_minimize(f_and_grad, rows, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResu
             grow *= 2.0
         if status == "stalled":
             break
+        # the next point's G and eigh run without this point's arrays
+        del gram, v, jt
     if gnorm <= cfg.grad_tol:
         status = "converged"
     return LbfgsResult(x, f, history, status, n_evals)
@@ -358,17 +374,15 @@ def train(
     p = init_params(cfg_net)
     shapes = p.shapes
     # one workspace serves the loss at the n + 2 anchored points and the
-    # Jacobian pass at the m rows' points; the Jacobian is allocated once
-    m = row_count(grid.n, pin is not None)
-    ws = Workspace(shapes, m)
-    jac = np.empty((m, len(p)))
+    # rows' pass at their m points
+    ws = Workspace(shapes, row_count(grid.n, pin is not None))
 
     def objective(x: np.ndarray):
         res = loss_and_grad(ParamVector(x, shapes), grid, pin=pin, ws=ws)
         return res.loss.total, res.grad
 
     def rows(x: np.ndarray):
-        return residual_jacobian(ParamVector(x, shapes), grid, pin, ws=ws, out=jac), jac
+        return residual_gram(ParamVector(x, shapes), grid, pin, ws=ws)
 
     state = AdamState.fresh(p.values)
     adam_curve: list[float] = []

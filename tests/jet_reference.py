@@ -3,7 +3,8 @@
 Scalar: truncated Taylor arithmetic of order 3 in the coordinate eta, and
 the network evaluated in it one point and one neuron at a time.  Batched:
 the allocating kernels and network passes, as a byte reference for the
-workspace path (at the end of this file).
+workspace path, and the explicit residual Jacobian that network.row_gram
+factors (at the end of this file).
 
 A Jet3 carries a value together with its first three derivatives with
 respect to eta.  The tests check `kernels` and `network.forward_jet_batch`
@@ -243,3 +244,42 @@ def loss_and_grad_alloc(p, grid, pin=None):
     y, cache = forward_jet_batch_alloc(p, grid.anchored_points)
     _, breakdown, ybar = loss_terms(y, pin)
     return breakdown, backward_jet_batch_alloc(p, cache, ybar)
+
+
+def row_jacobian(p, ws, seeds, out):
+    """Rows of the Jacobian: out[k] = d(sum(seeds[:, k] * y[:, k]))/d(params).
+
+    backward_jet_batch without its sums over points: `ws` holds a forward
+    pass at p over the m = seeds.shape[1] points, one point per row, and
+    `out` (m, len(p)) receives one parameter gradient per row, in
+    ParamVector's layout.  Returns out.
+    """
+    from blasius_pinn.network import _reverse, layer_views
+
+    m = seeds.shape[1]
+    blocks = list(layer_views(out, p.shapes))
+    for li, zbar, a_in in _reverse(p, ws, seeds):
+        wrows, brows = blocks[li]
+        np.copyto(brows, zbar[0])
+        if a_in is None:
+            np.multiply(zbar[0], ws.eta[:m, None], out=wrows[:, :, 0])
+            wrows[:, :, 0] += zbar[1]
+        else:
+            # per row, the weight adjoint is sum over channels c of
+            # zbar[c] (fo) outer a_in[c] (fi): (m, fo, 4) @ (m, 4, fi)
+            np.matmul(zbar.transpose(1, 2, 0), a_in.transpose(1, 0, 2), out=wrows)
+    return out
+
+
+def residual_jacobian(p, grid, pin=None):
+    """(r, J): the loss's rows at p and their Jacobian (m, len(p)), built
+    explicitly over one forward pass at the rows' points."""
+    from blasius_pinn.loss import residual_rows, row_count, row_points
+    from blasius_pinn.network import Workspace, forward_jet_batch
+
+    n = grid.n
+    m = row_count(n, pin is not None)
+    ws = Workspace(p.shapes, m)
+    y = forward_jet_batch(p, grid.anchored_points[row_points(n, pin is not None)], ws=ws)
+    r, seeds = residual_rows(y[:, : n + 2], pin)
+    return r, row_jacobian(p, ws, seeds, np.empty((m, len(p))))

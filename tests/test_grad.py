@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import blasius_pinn
-from blasius_pinn.grad import DivergenceError, loss_and_grad, residual_jacobian
+from blasius_pinn.grad import DivergenceError, loss_and_grad, residual_gram
 from blasius_pinn.loss import CollocationGrid, loss_total, residual_rows
 from blasius_pinn.network import (NetworkConfig, ParamVector, Workspace, backward_jet_batch,
                                   forward_jet_batch, init_params)
 from fd_oracle import fd_gradient_coords, grad_close
+from jet_reference import residual_jacobian
 from loss_reference import loss_terms_reference
 from test_workspace import perturbed
 
@@ -120,13 +121,12 @@ def rows_at(values, shapes, grid, pin):
 
 @pytest.mark.parametrize("pin", [None, 0.3], ids=["unpinned", "pinned"])
 def test_residual_jacobian_matches_central_differences(pin):
-    # every row, every parameter
+    # every row, every parameter of the explicit reference Jacobian
     cfg = NetworkConfig(depth=2, width=6, seed=7)
     p = init_params(cfg)
     grid = CollocationGrid(-1.0, 6.0, 9)
-    m = grid.n + 3 + (pin is not None)
-    jac = np.full((m, len(p)), np.nan)
-    r = residual_jacobian(p, grid, pin, ws=Workspace(p.shapes, m), out=jac)
+    r, jac = residual_jacobian(p, grid, pin)
+    assert jac.shape == (grid.n + 3 + (pin is not None), len(p))
     assert r.tobytes() == rows_at(p.values, p.shapes, grid, pin).tobytes()
     h = 1e-6
     for i in range(len(p)):
@@ -144,37 +144,61 @@ def test_jacobian_gradient_is_the_loss_gradient(grid, pin):
     # total loss = sum(r * r), so its gradient is 2 J'r
     p = perturbed(NetworkConfig(), 4)
     m = grid.n + 3 + (pin is not None)
-    jac = np.empty((m, len(p)))
-    r = residual_jacobian(p, grid, pin, ws=Workspace(p.shapes, m), out=jac)
+    r, _, jt = residual_gram(p, grid, pin, ws=Workspace(p.shapes, m))
     res = loss_and_grad(p, grid, pin=pin)
     assert float(r @ r) == pytest.approx(res.loss.total, rel=1e-14)
-    assert np.max(np.abs(2.0 * jac.T @ r - res.grad)) <= 1e-14 * np.max(np.abs(res.grad))
+    assert np.max(np.abs(2.0 * jt(r) - res.grad)) <= 1e-14 * np.max(np.abs(res.grad))
+
+
+@pytest.mark.parametrize("cfg,grid,pin", [
+    (NetworkConfig(), CollocationGrid(0.0, 8.0, 100), None),
+    (NetworkConfig(), CollocationGrid(-4.5, 7.0, 100), 0.33),
+    (NetworkConfig(depth=3, width=17), CollocationGrid(0.0, 8.0, 100), None),
+    (NetworkConfig(depth=1, width=8), CollocationGrid(0.0, 8.0, 100), None),
+], ids=["default", "probe_pinned", "depth3_width17", "depth1_width8"])
+def test_gram_and_transpose_map_match_the_explicit_jacobian(cfg, grid, pin):
+    # G = J J' and jt(w) = J'w from each layer's factors, against the
+    # explicit J; depth 1 has no layer whose fan-in and fan-out exceed 1
+    p = perturbed(cfg, 3)
+    want_r, jac = residual_jacobian(p, grid, pin)
+    ws = Workspace(p.shapes, jac.shape[0])
+    r, gram, jt = residual_gram(p, grid, pin, ws=ws)
+    assert r.tobytes() == want_r.tobytes()
+    want = jac @ jac.T
+    assert np.max(np.abs(gram - want)) <= 1e-14 * np.max(np.abs(want))
+    # the map reads its own copies of the factors: reusing the workspace,
+    # as each trial's loss_and_grad does, leaves it unchanged
+    loss_and_grad(perturbed(cfg, 5), grid, pin, ws=ws)
+    for seed in (1, 2):
+        w = np.random.default_rng(seed).normal(size=r.size)
+        want = jac.T @ w
+        assert np.max(np.abs(jt(w) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 JACOBIAN_SCRIPT = """
 import hashlib
 import numpy as np
-from blasius_pinn.grad import residual_jacobian
 from blasius_pinn.loss import CollocationGrid
-from blasius_pinn.network import NetworkConfig, ParamVector, Workspace, init_params
+from blasius_pinn.network import NetworkConfig, ParamVector, init_params
+from jet_reference import residual_jacobian
 
 p = init_params(NetworkConfig())
 p = ParamVector(p.values + np.random.default_rng(1).normal(scale=0.1, size=len(p)), p.shapes)
 digest = hashlib.sha256()
 for grid, pin in ((CollocationGrid(0.0, 8.0, 100), None), (CollocationGrid(-4.5, 7.0, 100), 0.33)):
-    m = grid.n + 3 + (pin is not None)
-    jac = np.empty((m, len(p)))
-    r = residual_jacobian(p, grid, pin, ws=Workspace(p.shapes, m), out=jac)
+    r, jac = residual_jacobian(p, grid, pin)
     digest.update(r.tobytes() + jac.tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_jacobian_bytes_do_not_depend_on_blas_threads():
+    # the per-row adjoints of network._reverse, through the reference J
     src = os.path.dirname(os.path.dirname(blasius_pinn.__file__))
+    path = os.pathsep.join([src, os.path.dirname(__file__)])
     digests = set()
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", JACOBIAN_SCRIPT], capture_output=True,
                               text=True, env=env, timeout=300, check=True)
         digests.add(proc.stdout.strip())

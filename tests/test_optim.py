@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -239,7 +240,7 @@ def linear_rows(A, b):
         return float(r @ r), 2.0 * A.T @ r
 
     def rows(x):
-        return A @ x - b, A
+        return A @ x - b, A @ A.T, lambda w: A.T @ w
 
     return f_and_grad, rows
 
@@ -264,11 +265,12 @@ def test_lm_rosenbrock_rows():
     # Rosenbrock as the rows (10 (x1 - x0^2), 1 - x0)
     def rows(x):
         r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-        return r, np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+        jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+        return r, jac @ jac.T, lambda w: jac.T @ w
 
     def f_and_grad(x):
-        r, jac = rows(x)
-        return float(r @ r), 2.0 * jac.T @ r
+        r, _, jt = rows(x)
+        return float(r @ r), 2.0 * jt(r)
 
     res = lm_minimize(f_and_grad, rows, np.array([-1.2, 1.0]), LbfgsConfig(grad_tol=1e-12))
     assert res.status == "converged"
@@ -289,7 +291,8 @@ def test_lm_stalls_at_its_start_when_no_step_lowers_the_loss():
         calls.append(x)
         return f_and_grad(x)
 
-    res = lm_minimize(counted, lambda x: (A @ x - b, -A), x0, LbfgsConfig())
+    res = lm_minimize(counted, lambda x: (A @ x - b, A @ A.T, lambda w: -A.T @ w), x0,
+                      LbfgsConfig())
     assert res.status == "stalled"
     assert res.history == []
     assert np.array_equal(res.x, x0) and res.fval == f_and_grad(x0)[0]
@@ -343,3 +346,20 @@ def test_train_refines_through_optim_loss_and_grad(monkeypatch):
     assert rep.lbfgs_history and len(refinement) > len(rep.lbfgs_history)
     assert all(f in refinement for _, f, _, _ in rep.lbfgs_history)
     assert rep.best_loss == rep.lbfgs_history[-1][1] == min(seen)
+
+
+def test_refinement_never_holds_an_array_the_size_of_the_jacobian():
+    # the default network's 103 rows and 10,401 parameters: J alone would
+    # take 8 m P bytes (8.17 MiB); G = J J' and J'w come from each layer's
+    # adjoint factors, so training's peak stays below that
+    cfg = NetworkConfig()
+    m = 103
+    tracemalloc.start()
+    try:
+        _, rep = train(cfg, AdamConfig(max_steps=3, switch_tol=0.0), LbfgsConfig(max_iters=3),
+                       CollocationGrid(0.0, 8.0, 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.adam_steps == 3 and len(rep.lbfgs_history) == 3
+    assert peak < 8 * m * cfg.param_count(), peak
