@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grad import DivergenceError
-from .loss import CollocationGrid, residual
+from .loss import CollocationGrid, residual, row_count
 from .network import NetworkConfig, ParamVector, Workspace, forward_jet_batch
 from .optim import AdamConfig, LbfgsConfig, TrainingReport, train
 from .oracle import SolutionTable
@@ -141,12 +141,12 @@ def growth_onset(p: ParamVector, eta_lo: float, eta_hi: float) -> tuple[float | 
 
 def probe_points(grid: CollocationGrid) -> float:
     """At least the most points probe_negative forwards in one pass on
-    `grid`: the grid with its anchors, the edge lattice, or one of
+    `grid`: the pinned loss's rows' points, the edge lattice, or one of
     growth_onset's lattices.  A float, so a span past the float range
     gives inf instead of raising."""
     edge = (max(grid.eta0, EDGE_END) - grid.eta0) / EDGE_STEP
     onset = max(grid.eta_m - grid.eta0, 5.0) / ONSET_STEP
-    return max(grid.n + 2.0, edge + 2.0, onset + 2.0)
+    return max(float(row_count(grid.n, True)), edge + 2.0, onset + 2.0)
 
 
 def probe_negative(

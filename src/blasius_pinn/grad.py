@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import CollocationGrid, LossBreakdown, loss_terms, residual_rows, row_points
-from .network import ParamVector, Workspace, backward_jet_batch, forward_jet_batch, row_gram
+from .loss import CollocationGrid, LossBreakdown, loss_terms, row_points
+from .network import ParamVector, Workspace, backward_jet_batch, forward_jet_batch
 
 
 class DivergenceError(RuntimeError):
@@ -23,48 +23,34 @@ class DivergenceError(RuntimeError):
 class GradResult:
     loss: LossBreakdown
     grad: np.ndarray
+    r: np.ndarray       # the loss's rows (loss.residual_rows), m of them
+    seeds: np.ndarray   # each row's derivative with respect to the jet at its point, (4, m)
 
 
 def loss_and_grad(p: ParamVector, grid: CollocationGrid, pin: float | None = None,
                   *, ws: Workspace | None = None) -> GradResult:
     """Loss breakdown and d(total)/d(theta) in one forward + one reverse pass.
 
-    `ws` is a Workspace for p's shapes and the grid's n + 2 points; a caller
-    that evaluates repeatedly, as optim.train does, passes the same one each
-    time, and without one a temporary workspace is used.  The gradient is a
-    fresh array, so it stays valid across later calls.
+    The forward pass runs over the rows' points (`loss.row_points`), one
+    point per row of loss.residual_rows, so the workspace it leaves also
+    serves network.row_gram with the result's seeds.  `ws` is a Workspace
+    for p's shapes and at least the m rows' points; a caller that evaluates
+    repeatedly, as optim.train does, passes the same one each time, and
+    without one a temporary workspace is used.  The result's arrays are
+    fresh, so they stay valid across later calls.
     """
-    pts = grid.anchored_points
+    etas = grid.anchored_points[row_points(grid.n, pin is not None)]
     if ws is None:
-        ws = Workspace(p.shapes, pts.size)
-    y = forward_jet_batch(p, pts, ws=ws)
-    r, breakdown, ybar = loss_terms(y, pin)
+        ws = Workspace(p.shapes, etas.size)
+    y = forward_jet_batch(p, etas, ws=ws)
+    r, seeds, breakdown = loss_terms(y, pin)
     if not np.all(np.isfinite(r)):
         bad = int(np.argmax(~np.isfinite(r)))
-        raise DivergenceError(f"non-finite residual at eta={pts[bad]:.6g}")
+        raise DivergenceError(f"non-finite residual at eta={etas[bad]:.6g}")
     if not np.isfinite(breakdown.total):
         raise DivergenceError("non-finite loss")
 
-    grad = backward_jet_batch(p, ws, ybar)
+    grad = backward_jet_batch(p, ws, 2.0 * r * seeds)
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("non-finite gradient")
-    return GradResult(breakdown, grad)
-
-
-def residual_gram(p: ParamVector, grid: CollocationGrid, pin: float | None = None,
-                  *, ws: Workspace):
-    """The loss's rows r at p (see loss.residual_rows), G = J J' and the map
-    w -> J'w, for their Jacobian J = dr/d(theta), which is never formed.
-
-    One forward pass over the m rows' points (`loss.row_points`), so `ws`
-    holds at least m points, then network.row_gram.  The total loss is
-    sum(r * r) and its gradient 2 J'r.  Returns (r, G, J'-map).
-    """
-    n = grid.n
-    etas = grid.anchored_points[row_points(n, pin is not None)]
-    y = forward_jet_batch(p, etas, ws=ws)
-    # the first n + 2 rows' points are the anchored points
-    r, seeds = residual_rows(y[:, : n + 2], pin)
-    if not np.all(np.isfinite(r)):
-        raise DivergenceError("non-finite residual row")
-    return (r,) + row_gram(p, ws, seeds)
+    return GradResult(breakdown, grad, r, seeds)

@@ -86,15 +86,16 @@ def row_points(n: int, pinned: bool) -> np.ndarray:
 def residual_rows(y: np.ndarray, pin: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the loss, whose squares sum to the total loss.
 
-    y is the output jet (shape (4, n + 2)) at the n grid points followed by
-    the anchors 0 and eta_m.  The m = n + 3 rows (n + 4 with a pin) are the
-    ODE residuals at the grid points, f(0), f'(eta_m) - 1, f'(0) and
-    f''(0) - pin; `row_points` gives the point of each.  Returns (r, seeds):
-    the rows (m,) and each row's derivative with respect to the jet at its
-    point (4, m), one column per row on the channels (f, f', f'', f''').
+    y is the output jet (shape (4, m)) at the rows' points, one point per
+    row: `anchored_points[row_points(n, pinned)]`.  The m = n + 3 rows
+    (n + 4 with a pin) are the ODE residuals at the n grid points, f(0),
+    f'(eta_m) - 1, f'(0) and f''(0) - pin, each read at its own point.
+    Returns (r, seeds): the rows (m,) and each row's derivative with respect
+    to the jet at its point (4, m), one column per row on the channels
+    (f, f', f'', f''').
     """
-    n = y.shape[1] - 2
-    m = row_count(n, pin is not None)
+    m = y.shape[1]
+    n = m - 3 - (pin is not None)
     r = np.empty(m)
     seeds = np.zeros((4, m))
     r[:n] = residual(y[:, :n])
@@ -103,41 +104,30 @@ def residual_rows(y: np.ndarray, pin: float | None = None) -> tuple[np.ndarray, 
     seeds[3, :n] = 1.0
     r[n] = y[0, n]
     r[n + 1] = y[1, n + 1] - 1.0
-    r[n + 2] = y[1, n]
+    r[n + 2] = y[1, n + 2]
     seeds[0, n] = seeds[1, n + 1] = seeds[1, n + 2] = 1.0
     if pin is not None:
-        r[n + 3] = y[2, n] - pin
+        r[n + 3] = y[2, n + 3] - pin
         seeds[2, n + 3] = 1.0
     return r, seeds
 
 
-def loss_terms(y: np.ndarray, pin: float | None = None) -> tuple[np.ndarray, LossBreakdown, np.ndarray]:
-    """Loss terms of the output jet y (shape (4, n + 2)) at the n grid points
-    followed by the anchors 0 and eta_m, as in `anchored_points`.
-
-    Returns (r, breakdown, ybar): the residuals at the grid points, the loss
-    breakdown, and ybar = d(total)/dy for the reverse pass, all from the rows
-    of residual_rows.
-    """
-    n = y.shape[1] - 2
+def loss_terms(y: np.ndarray, pin: float | None = None) -> tuple[np.ndarray, np.ndarray, LossBreakdown]:
+    """(r, seeds, breakdown): the rows of residual_rows on the output jet y
+    at the rows' points, their seeds, and the loss breakdown from the rows'
+    squares.  The total's adjoint at the rows' points is 2 r * seeds."""
     r, seeds = residual_rows(y, pin)
-    # d(r_k^2)/dy = 2 r_k seed_k, summed over the rows at each point; row k
-    # sits at point k for k < n + 2
-    w = 2.0 * r * seeds
-    at = row_points(n, pin is not None)
-    ybar = np.zeros_like(y)
-    ybar += w[:, : n + 2]
-    for k in range(n + 2, r.size):
-        ybar[:, at[k]] += w[:, k]
+    n = r.size - 3 - (pin is not None)
     breakdown = LossBreakdown(
         ode=float(np.sum(r[:n] * r[:n])),
         init=float(r[n] ** 2 + r[n + 2] ** 2),
         boundary=float(r[n + 1] ** 2),
         pin=0.0 if pin is None else float(r[n + 3] ** 2),
     )
-    return r[:n], breakdown, ybar
+    return r, seeds, breakdown
 
 
 def loss_total(p: ParamVector, grid: CollocationGrid, pin: float | None = None) -> LossBreakdown:
-    """Full loss breakdown; one batched forward pass over grid + anchors."""
-    return loss_terms(forward_jet_batch(p, grid.anchored_points), pin)[1]
+    """Full loss breakdown; one batched forward pass over the rows' points."""
+    etas = grid.anchored_points[row_points(grid.n, pin is not None)]
+    return loss_terms(forward_jet_batch(p, etas), pin)[2]

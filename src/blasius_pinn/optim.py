@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grad import DivergenceError, loss_and_grad, residual_gram
+from .grad import DivergenceError, loss_and_grad
 from .loss import CollocationGrid, LossBreakdown, loss_total, row_count
-from .network import NetworkConfig, ParamVector, Workspace, init_params
+from .network import NetworkConfig, ParamVector, Workspace, init_params, row_gram
 
 ADAM_BETA1 = 0.9             # first-moment decay
 ADAM_BETA2 = 0.999           # second-moment decay
@@ -277,6 +277,8 @@ def lm_minimize(f_and_grad, rows, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResu
     f_and_grad(x) -> (f, gradient) evaluates every trial point, and
     rows(x) -> (r, G, jt) gives, at each accepted one, the rows, G = J J'
     (m x m) and the map jt: w -> J'w for their Jacobian J (m x len(x)).
+    rows is asked only for the point that f_and_grad evaluated last (x0, or
+    the trial just accepted), so it may reuse that evaluation.
     The step is -J' (G + lam I)^-1 r: one eigensolve of G per accepted
     point serves every damping tried there.  lam follows the gain ratio rho
     of the actual to the predicted decrease (Nielsen's rule; Madsen,
@@ -373,16 +375,22 @@ def train(
     t_start = time.perf_counter()
     p = init_params(cfg_net)
     shapes = p.shapes
-    # one workspace serves the loss at the n + 2 anchored points and the
-    # rows' pass at their m points
+    # one workspace at the rows' m points: each evaluation's forward pass
+    # also serves row_gram when lm_minimize accepts that point
     ws = Workspace(shapes, row_count(grid.n, pin is not None))
+    last = None             # (x, GradResult) of the pass that ws holds
 
     def objective(x: np.ndarray):
+        nonlocal last
+        last = None
         res = loss_and_grad(ParamVector(x, shapes), grid, pin=pin, ws=ws)
+        last = (x, res)
         return res.loss.total, res.grad
 
     def rows(x: np.ndarray):
-        return residual_gram(ParamVector(x, shapes), grid, pin, ws=ws)
+        if last is None or not np.array_equal(x, last[0]):
+            raise ValueError("rows asked for at a point other than the last one evaluated")
+        return (last[1].r,) + row_gram(ParamVector(x, shapes), ws, last[1].seeds)
 
     state = AdamState.fresh(p.values)
     adam_curve: list[float] = []

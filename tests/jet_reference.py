@@ -238,12 +238,13 @@ def backward_jet_batch_alloc(p, cache, ybar):
 
 
 def loss_and_grad_alloc(p, grid, pin=None):
-    """(LossBreakdown, gradient) through the allocating passes."""
-    from blasius_pinn.loss import loss_terms
+    """(LossBreakdown, gradient) through the allocating passes, over the
+    rows' points."""
+    from blasius_pinn.loss import loss_terms, row_points
 
-    y, cache = forward_jet_batch_alloc(p, grid.anchored_points)
-    _, breakdown, ybar = loss_terms(y, pin)
-    return breakdown, backward_jet_batch_alloc(p, cache, ybar)
+    y, cache = forward_jet_batch_alloc(p, grid.anchored_points[row_points(grid.n, pin is not None)])
+    r, seeds, breakdown = loss_terms(y, pin)
+    return breakdown, backward_jet_batch_alloc(p, cache, 2.0 * r * seeds)
 
 
 def row_jacobian(p, ws, seeds, out):
@@ -281,5 +282,5 @@ def residual_jacobian(p, grid, pin=None):
     m = row_count(n, pin is not None)
     ws = Workspace(p.shapes, m)
     y = forward_jet_batch(p, grid.anchored_points[row_points(n, pin is not None)], ws=ws)
-    r, seeds = residual_rows(y[:, : n + 2], pin)
+    r, seeds = residual_rows(y, pin)
     return r, row_jacobian(p, ws, seeds, np.empty((m, len(p))))

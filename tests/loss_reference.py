@@ -9,24 +9,26 @@ from blasius_pinn.loss import LossBreakdown, residual
 
 
 def loss_terms_reference(y: np.ndarray, pin: float | None = None):
-    """(r, breakdown, ybar) of the output jet y (4, n + 2), term by term."""
-    n = y.shape[1] - 2
+    """(r, breakdown, ybar) of the output jet y at the rows' points (4, m),
+    term by term: the n grid points, the wall, eta_m, then the wall again
+    for f'(0) and, when pinned, for f''(0).  ybar = d(total)/dy has one
+    column per point, so each wall term has its own column."""
+    n = y.shape[1] - 3 - (pin is not None)
     r = residual(y[:, :n])
-    f0, fp0, fpp0 = y[0, n], y[1, n], y[2, n]
-    fp_far = y[1, n + 1]
+    f0, fp_far, fp0 = y[0, n], y[1, n + 1], y[1, n + 2]
     ybar = np.zeros_like(y)
     ybar[0, :n] = r * y[2, :n]          # 2 r * d r/d f, with d r/d f = f''/2
     ybar[2, :n] = r * y[0, :n]
     ybar[3, :n] = 2.0 * r
-    ybar[0, n] += 2.0 * f0
-    ybar[1, n] += 2.0 * fp0
-    ybar[1, n + 1] += 2.0 * (fp_far - 1.0)
+    ybar[0, n] = 2.0 * f0
+    ybar[1, n + 1] = 2.0 * (fp_far - 1.0)
+    ybar[1, n + 2] = 2.0 * fp0
     if pin is not None:
-        ybar[2, n] += 2.0 * (fpp0 - pin)
+        ybar[2, n + 3] = 2.0 * (y[2, n + 3] - pin)
     breakdown = LossBreakdown(
         ode=float(np.sum(r * r)),
         init=float(f0 ** 2 + fp0 ** 2),
         boundary=float((fp_far - 1.0) ** 2),
-        pin=0.0 if pin is None else float((fpp0 - pin) ** 2),
+        pin=0.0 if pin is None else float((y[2, n + 3] - pin) ** 2),
     )
     return r, breakdown, ybar

@@ -8,7 +8,7 @@ import pytest
 from conftest import exact_growth_onset, exact_profile
 
 import blasius_pinn
-from blasius_pinn import analysis
+from blasius_pinn import analysis, grad
 from blasius_pinn.analysis import (
     TABULATE_BLOCK,
     compare,
@@ -221,20 +221,25 @@ def test_probe_negative_short_grid_completes():
     CollocationGrid(-1.0, 3.0, 20),
     CollocationGrid(1e5, 1e5 + 1, 10),     # past 2^14 the edge is eta0 alone
     CollocationGrid(-20.0, 30.0, 50),
+    CollocationGrid(-1.0, 3.0, 600),       # the pinned loss's n + 4 points are the most
 ], ids=lambda g: f"{g.eta0:g}_{g.eta_m:g}_{g.n}")
 def test_probe_points_bounds_every_probe_pass(monkeypatch, grid):
     # RunConfig sizes the jet workspace by probe_points; each lattice
-    # probe_negative forwards must fit in it
-    sizes = []
+    # probe_negative forwards, and each pass of its training, must fit in it
+    sizes, train_sizes = [], []
 
-    def recording(p, eta, **kw):
-        sizes.append(np.size(eta))
-        return forward_jet_batch(p, eta, **kw)
+    def recording(into):
+        def forward(p, eta, **kw):
+            into.append(np.size(eta))
+            return forward_jet_batch(p, eta, **kw)
+        return forward
 
-    monkeypatch.setattr(analysis, "forward_jet_batch", recording)
+    monkeypatch.setattr(analysis, "forward_jet_batch", recording(sizes))
+    monkeypatch.setattr(grad, "forward_jet_batch", recording(train_sizes))
     net = NetworkConfig(depth=1, width=4, seed=0)
     _, sing = probe_negative(init_params(net), net, AdamConfig(max_steps=1),
                              LbfgsConfig(max_iters=1), grid)
     assert np.isfinite(sing.max_abs_f_edge) and np.isfinite(sing.max_abs_residual_edge)
     assert len(sizes) == 4      # the wall, the edge and growth_onset's two lattices
-    assert max(sizes) <= probe_points(grid)
+    assert train_sizes
+    assert max(sizes + train_sizes) <= probe_points(grid)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import blasius_pinn
-from blasius_pinn.grad import DivergenceError, loss_and_grad, residual_gram
-from blasius_pinn.loss import CollocationGrid, loss_total, residual_rows
+from blasius_pinn.grad import DivergenceError, loss_and_grad
+from blasius_pinn.loss import CollocationGrid, loss_total, residual_rows, row_count, row_points
 from blasius_pinn.network import (NetworkConfig, ParamVector, Workspace, backward_jet_batch,
-                                  forward_jet_batch, init_params)
+                                  forward_jet_batch, init_params, row_gram)
 from fd_oracle import fd_gradient_coords, grad_close
 from jet_reference import residual_jacobian
 from loss_reference import loss_terms_reference
@@ -98,15 +98,19 @@ def test_divergence_error_on_nonfinite_params():
         loss_and_grad(p, GRID)
 
 
+def row_etas(grid, pin):
+    return grid.anchored_points[row_points(grid.n, pin is not None)]
+
+
 @pytest.mark.parametrize("grid,pin", [(CollocationGrid(0.0, 8.0, 100), None),
                                       (CollocationGrid(-4.5, 7.0, 100), 0.33)],
                          ids=["default", "probe_pinned"])
 def test_loss_and_grad_bytes_match_the_term_by_term_loss(grid, pin):
-    # the rows refactor of loss_terms leaves every byte of the loss and the
-    # gradient as the term-by-term loss terms give them
+    # on the rows' points, every byte of the loss and the gradient is the
+    # one the term-by-term loss terms give
     p = perturbed(NetworkConfig(), 3)
-    ws = Workspace(p.shapes, grid.anchored_points.size)
-    y = forward_jet_batch(p, grid.anchored_points, ws=ws)
+    ws = Workspace(p.shapes, row_count(grid.n, pin is not None))
+    y = forward_jet_batch(p, row_etas(grid, pin), ws=ws)
     _, want_loss, ybar = loss_terms_reference(y, pin)
     want_grad = backward_jet_batch(p, ws, ybar)
     res = loss_and_grad(p, grid, pin=pin)
@@ -115,7 +119,7 @@ def test_loss_and_grad_bytes_match_the_term_by_term_loss(grid, pin):
 
 
 def rows_at(values, shapes, grid, pin):
-    y = forward_jet_batch(ParamVector(values, shapes), grid.anchored_points)
+    y = forward_jet_batch(ParamVector(values, shapes), row_etas(grid, pin))
     return residual_rows(y, pin)[0]
 
 
@@ -143,9 +147,10 @@ def test_residual_jacobian_matches_central_differences(pin):
 def test_jacobian_gradient_is_the_loss_gradient(grid, pin):
     # total loss = sum(r * r), so its gradient is 2 J'r
     p = perturbed(NetworkConfig(), 4)
-    m = grid.n + 3 + (pin is not None)
-    r, _, jt = residual_gram(p, grid, pin, ws=Workspace(p.shapes, m))
-    res = loss_and_grad(p, grid, pin=pin)
+    ws = Workspace(p.shapes, row_count(grid.n, pin is not None))
+    res = loss_and_grad(p, grid, pin=pin, ws=ws)
+    r = res.r
+    _, jt = row_gram(p, ws, res.seeds)
     assert float(r @ r) == pytest.approx(res.loss.total, rel=1e-14)
     assert np.max(np.abs(2.0 * jt(r) - res.grad)) <= 1e-14 * np.max(np.abs(res.grad))
 
@@ -162,7 +167,9 @@ def test_gram_and_transpose_map_match_the_explicit_jacobian(cfg, grid, pin):
     p = perturbed(cfg, 3)
     want_r, jac = residual_jacobian(p, grid, pin)
     ws = Workspace(p.shapes, jac.shape[0])
-    r, gram, jt = residual_gram(p, grid, pin, ws=ws)
+    res = loss_and_grad(p, grid, pin, ws=ws)
+    r = res.r
+    gram, jt = row_gram(p, ws, res.seeds)
     assert r.tobytes() == want_r.tobytes()
     want = jac @ jac.T
     assert np.max(np.abs(gram - want)) <= 1e-14 * np.max(np.abs(want))

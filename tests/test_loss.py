@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blasius_pinn.loss import (CollocationGrid, LossBreakdown, loss_terms, loss_total, residual,
-                               residual_rows, row_points)
+                               residual_rows, row_count, row_points)
 from blasius_pinn.network import NetworkConfig, ParamVector, forward_jet_batch, init_params
 from loss_reference import loss_terms_reference
 
@@ -120,16 +120,19 @@ def test_breakdown_total_property():
 
 @pytest.mark.parametrize("pin", [None, 0.33], ids=["unpinned", "pinned"])
 def test_loss_terms_bytes_match_the_term_by_term_reference(pin):
-    # loss_terms builds its breakdown and ybar from residual_rows; on random
-    # jets every byte is the one the term-by-term formulas give
+    # loss_terms builds its breakdown from residual_rows, and 2 r * seeds is
+    # the adjoint at the rows' points; on random jets every byte is the one
+    # the term-by-term formulas give
     rng = np.random.default_rng(21)
     for n in (2, 3, 17, 100, 257):
         for scale_ in (1e-3, 1.0, 1e3):
-            y = scale_ * rng.normal(size=(4, n + 2))
-            r, bd, ybar = loss_terms(y, pin)
+            y = scale_ * rng.normal(size=(4, row_count(n, pin is not None)))
+            r, seeds, bd = loss_terms(y, pin)
             want_r, want_bd, want_ybar = loss_terms_reference(y, pin)
-            assert r.tobytes() == want_r.tobytes()
-            assert ybar.tobytes() == want_ybar.tobytes()
+            assert r[:n].tobytes() == want_r.tobytes()
+            # a structural zero of 2 r * seeds takes r's sign; + 0.0 clears
+            # it, as the zero-filled adjoint that loss_terms once summed into
+            assert (2.0 * r * seeds + 0.0).tobytes() == want_ybar.tobytes()
             for name in ("ode", "init", "boundary", "pin", "total"):
                 got, want = getattr(bd, name), getattr(want_bd, name)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
@@ -137,16 +140,24 @@ def test_loss_terms_bytes_match_the_term_by_term_reference(pin):
 
 @pytest.mark.parametrize("pin", [None, -0.4], ids=["unpinned", "pinned"])
 def test_residual_rows_square_to_the_loss_terms(pin):
-    y = np.random.default_rng(5).normal(size=(4, 12))
-    r, seeds = residual_rows(y, pin)
     n = 10
+    y = np.random.default_rng(5).normal(size=(4, row_count(n, pin is not None)))
+    r, seeds = residual_rows(y, pin)
     assert r.shape == (n + 3 + (pin is not None),) and seeds.shape == (4, r.size)
     at = row_points(n, pin is not None)
     assert at.tolist() == list(range(n + 2)) + [n] * (r.size - n - 2)
-    _, bd, ybar = loss_terms(y, pin)
+    _, _, bd = loss_terms(y, pin)
     assert np.sum(r * r) == pytest.approx(bd.total, rel=1e-14)
-    # ybar is the sum over rows of 2 r_k seed_k at row k's point
-    want = np.zeros_like(y)
+    # row k reads the jet at point k only, and seeds[:, k] is its derivative
+    # there: a bump of one channel at one point moves that point's row alone
+    h = 1e-6
     for k in range(r.size):
-        want[:, at[k]] += 2.0 * r[k] * seeds[:, k]
-    np.testing.assert_allclose(ybar, want, rtol=1e-15, atol=0)
+        for c in range(4):
+            up, down = y.copy(), y.copy()
+            up[c, k] += h
+            down[c, k] -= h
+            r_up, r_down = residual_rows(up, pin)[0], residual_rows(down, pin)[0]
+            others = np.arange(r.size) != k
+            assert np.array_equal(r_up[others], r[others])
+            assert np.array_equal(r_down[others], r[others])
+            assert (r_up[k] - r_down[k]) / (2.0 * h) == pytest.approx(seeds[c, k], abs=1e-8)

@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from blasius_pinn import optim
+from blasius_pinn import grad, optim
 from blasius_pinn.loss import CollocationGrid
 from blasius_pinn.network import NetworkConfig
 from blasius_pinn.optim import (
@@ -346,6 +346,27 @@ def test_train_refines_through_optim_loss_and_grad(monkeypatch):
     assert rep.lbfgs_history and len(refinement) > len(rep.lbfgs_history)
     assert all(f in refinement for _, f, _, _ in rep.lbfgs_history)
     assert rep.best_loss == rep.lbfgs_history[-1][1] == min(seen)
+
+
+def test_train_runs_one_forward_pass_per_loss_evaluation(monkeypatch):
+    # the refinement's G = J J' and J'w read the workspace that the accepted
+    # trial's loss_and_grad filled: they run no forward pass of their own
+    counts = {"forward": 0, "loss": 0}
+    forward_jet_batch, loss_and_grad = grad.forward_jet_batch, optim.loss_and_grad
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(grad, "forward_jet_batch", counted("forward", forward_jet_batch))
+    monkeypatch.setattr(optim, "loss_and_grad", counted("loss", loss_and_grad))
+    _, rep = train(NetworkConfig(depth=2, width=8, seed=0),
+                   AdamConfig(max_steps=40, switch_tol=1e-12),
+                   LbfgsConfig(max_iters=25), CollocationGrid(0.0, 8.0, 20))
+    assert rep.adam_steps == 40 and rep.lbfgs_history
+    assert counts["forward"] == counts["loss"] > 40 + len(rep.lbfgs_history)
 
 
 def test_refinement_never_holds_an_array_the_size_of_the_jacobian():

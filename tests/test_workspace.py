@@ -12,7 +12,7 @@ import blasius_pinn
 from blasius_pinn import kernels
 from blasius_pinn.analysis import growth_onset, onset_from_profile
 from blasius_pinn.grad import loss_and_grad
-from blasius_pinn.loss import CollocationGrid
+from blasius_pinn.loss import CollocationGrid, row_count
 from blasius_pinn.network import (NetworkConfig, ParamVector, Workspace, forward_jet_batch,
                                   init_params, workspace_bytes)
 from jet_reference import (
@@ -38,7 +38,7 @@ def test_reused_workspace_gives_the_allocating_bytes(grid, pin):
     # three parameter vectors in turn, twice over, through one workspace
     cfg = NetworkConfig()
     params = [perturbed(cfg, seed) for seed in (1, 2, 3)]
-    ws = Workspace(params[0].shapes, grid.anchored_points.size)
+    ws = Workspace(params[0].shapes, row_count(grid.n, pin is not None))
     for p in params + params:
         res = loss_and_grad(p, grid, pin=pin, ws=ws)
         want_loss, want_grad = loss_and_grad_alloc(p, grid, pin)
@@ -76,11 +76,11 @@ def test_results_survive_later_calls():
     grid = CollocationGrid(0.0, 8.0, 100)
     cfg = NetworkConfig()
     p1, p2 = perturbed(cfg, 1), perturbed(cfg, 2)
-    ws = Workspace(p1.shapes, grid.anchored_points.size)
+    ws = Workspace(p1.shapes, row_count(grid.n, False))
     first = loss_and_grad(p1, grid, ws=ws)
-    held = first.grad.copy()
+    held = [a.copy() for a in (first.grad, first.r, first.seeds)]
     loss_and_grad(p2, grid, ws=ws)
-    assert np.array_equal(first.grad, held)
+    assert all(np.array_equal(a, b) for a, b in zip((first.grad, first.r, first.seeds), held))
     # growth_onset's two back-to-back forward passes without a workspace
     ref, scan = np.arange(0.0, 5.005, 0.01), np.arange(-1.0, 8.005, 0.01)
     y_ref = forward_jet_batch(p1, ref)
@@ -112,12 +112,12 @@ def test_workspace_rejects_other_shapes_and_more_points():
 FAULTS_SCRIPT = """
 import resource
 from blasius_pinn.grad import loss_and_grad
-from blasius_pinn.loss import CollocationGrid
+from blasius_pinn.loss import CollocationGrid, row_count
 from blasius_pinn.network import NetworkConfig, Workspace, init_params
 
 p = init_params(NetworkConfig())
 grid = CollocationGrid(0.0, 8.0, 100)
-ws = Workspace(p.shapes, grid.anchored_points.size)
+ws = Workspace(p.shapes, row_count(grid.n, False))
 for _ in range(20):
     loss_and_grad(p, grid, ws=ws)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
