@@ -10,7 +10,6 @@ analytic continuation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,7 +25,6 @@ SHOOT_MAX_ITERS = 100       # secant (and scaled-root Newton) iterations
 MAX_STEPS = 10 ** 7         # RK4 steps one integration may be asked for
 BLOWUP_STEP = 0.01          # backward_blowup's step, as a share of the pole distance
 BLOWUP_H = 1e-5             # backward_blowup's lattice step in probe-negative
-BLOWUP_GAP = 1e-5           # h times the share of BLOWUP_LIMIT that backward_blowup rechecks
 
 
 @dataclass
@@ -243,10 +241,7 @@ def backward_blowup(s: float, h: float) -> float | None:
       most the lattice left above ETA_FLOOR, until m < 2 or a step passes
       the limit (at the wall d = (12 / s)^(1/3), 0.58 of the pole distance
       for every s > 0);
-    - steps of h go on from there to the last node before |f| > 1e8;
-    - if |f| at that node or one step on is close to 1e8, the search is
-      redone in steps of h from the wall, as the long steps' error could
-      move the crossing by a node (see _near_limit).
+    - steps of h go on from there to the last node before |f| > 1e8.
     Raises ValueError unless -ETA_FLOOR / h is at most MAX_STEPS.
     """
     last = step_count(h, ETA_FLOOR)
@@ -270,26 +265,7 @@ def backward_blowup(s: float, h: float) -> float | None:
         if n < 2:
             break
         state, i = end, i + m
-    n, end = _last(_march(*state, -h, last - i + 1, BLOWUP_LIMIT))
-    if i > 0 and _near_limit(end, h):
-        i, (n, _) = 0, _last(_march(0.0, 0.0, s, -h, last + 1, BLOWUP_LIMIT))
+    n, _ = _last(_march(*state, -h, last - i + 1, BLOWUP_LIMIT))
     if n > last - i + 1:
         return None
     return -(i + n - 1) * h
-
-
-def _near_limit(state, h: float) -> bool:
-    """Whether |f| at `state`, or one step of h on, is within a factor
-    1 + min(1, BLOWUP_GAP / h) of BLOWUP_LIMIT.
-
-    backward_blowup's long steps leave f at the crossing off by a share of
-    itself, against steps of h alone, that grows as 1 / h: at most
-    2.2e-6 / h over random slopes in [0.06, 2.5] and h in [1e-5, 2e-2].
-    Outside the factor such a gap cannot move the crossing to another node;
-    inside it the search is redone in steps of h.  Below h = 1e-5 the factor
-    stays at 2, so that the redone search stays rare, and the node may then
-    differ from that of steps of h alone.
-    """
-    _, after = _last(_march(*state, -h, 1, math.inf))
-    near = 1.0 + min(1.0, BLOWUP_GAP / h)
-    return any(BLOWUP_LIMIT / near < abs(f) < BLOWUP_LIMIT * near for f in (state[0], after[0]))
