@@ -32,12 +32,14 @@ def loss_and_grad(p: ParamVector, grid: CollocationGrid, pin: float | None = Non
     """Loss breakdown and d(total)/d(theta) in one forward + one reverse pass.
 
     The forward pass runs over the rows' points (`loss.row_points`), one
-    point per row of loss.residual_rows, so the workspace it leaves also
-    serves network.row_gram with the result's seeds.  `ws` is a Workspace
-    for p's shapes and at least the m rows' points; a caller that evaluates
-    repeatedly, as optim.train does, passes the same one each time, and
-    without one a temporary workspace is used.  The result's arrays are
-    fresh, so they stay valid across later calls.
+    point per row of loss.residual_rows, and the reverse pass is seeded
+    once per row: the gradient is J'(2 r), and the per-row adjoints that
+    the pass leaves in the workspace serve network.row_gram with the
+    result's seeds.  `ws` is a Workspace for p's shapes and at least the m
+    rows' points; a caller that evaluates repeatedly, as optim.train does,
+    passes the same one each time, and without one a temporary workspace
+    is used.  The result's arrays are fresh, so they stay valid across
+    later calls.
     """
     etas = grid.anchored_points[row_points(grid.n, pin is not None)]
     if ws is None:
@@ -50,7 +52,7 @@ def loss_and_grad(p: ParamVector, grid: CollocationGrid, pin: float | None = Non
     if not np.isfinite(breakdown.total):
         raise DivergenceError("non-finite loss")
 
-    grad = backward_jet_batch(p, ws, 2.0 * r * seeds)
+    grad = backward_jet_batch(p, ws, seeds, 2.0 * r)
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("non-finite gradient")
     return GradResult(breakdown, grad, r, seeds)

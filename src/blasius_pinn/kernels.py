@@ -70,7 +70,8 @@ def tanh_jet_backward(t, z, abar, *, out, scratch):
     `out` receives zbar and `scratch` (at least 7N floats) the
     intermediates.  An `out` of shape (2, N) receives zbar0 and zbar1 only:
     the first layer's input jet (eta, 1, 0, 0) has no d2 or d3 channel to
-    take the other two.
+    take the other two.  `out` may be z[:2] or z itself: z[1..3] are all read
+    before the first write to out, and z[0] is never read.
     """
     u1, u2, u3 = z[1], z[2], z[3]
     a0, a1, a2, a3 = abar

@@ -107,11 +107,11 @@ class Workspace:
     """The jet buffers of forward_jet_batch and backward_jet_batch for one
     network's layer shapes and at most `n` points per call.
 
-    It holds the input etas, every layer's pre-activation jets z, every
-    hidden layer's tanh jets, the kernels' scratch rows and the two adjoint
-    jets the reverse pass alternates between.  Buffers are flat and are
-    viewed at each call's point count, so a shorter batch (the last block
-    of a tabulation) uses the front of each.
+    It holds the input etas, every layer's pre-activation jets z (the
+    reverse pass writes the hidden layers' adjoints over them), every hidden
+    layer's tanh jets, the kernels' scratch rows and one adjoint jet.
+    Buffers are flat and are viewed at each call's point count, so a
+    shorter batch (the last block of a tabulation) uses the front of each.
 
     The caller owns a workspace and reuses it: each call overwrites what the
     previous call wrote, and no jet buffer is allocated after construction.
@@ -126,7 +126,6 @@ class Workspace:
         self.act = [np.empty(4 * n * fo) for _, fo in self.shapes[:-1]]
         self.scratch = np.empty(7 * n * hidden)
         self.abar = np.empty(4 * n * hidden)
-        self.zbar = np.empty(4 * n * hidden)
 
     def check(self, p: ParamVector, n: int) -> None:
         if n > self.n or self.shapes != [tuple(s) for s in p.shapes]:
@@ -137,10 +136,10 @@ class Workspace:
 def workspace_bytes(cfg: NetworkConfig, n: float) -> float:
     """Bytes of a Workspace for cfg's layer shapes at n points, in closed
     form.  Per point it holds the input eta, four channels of every layer's
-    z and of every hidden layer's tanh jet, and 7 scratch rows plus two
-    4-channel adjoints of the widest hidden layer."""
+    z and of every hidden layer's tanh jet, and 7 scratch rows plus a
+    4-channel adjoint of the widest hidden layer."""
     dw = cfg.depth * cfg.width
-    return 8 * n * (1 + 4 * (dw + 1) + 4 * dw + 15 * cfg.width)
+    return 8 * n * (1 + 4 * (dw + 1) + 4 * dw + 11 * cfg.width)
 
 
 def check_workspace(cfg: NetworkConfig, n: float, held: float = 0.0) -> None:
@@ -195,92 +194,100 @@ def forward_jet_batch(p: ParamVector, etas: np.ndarray, *, ws: Workspace | None 
     return a[:, :, 0]
 
 
-def _reverse(p: ParamVector, ws: Workspace, seeds: np.ndarray):
-    """The reverse pass that backward_jet_batch and row_gram share, from
-    the output adjoint seeds (4, n) over the forward pass that `ws` holds.
+def backward_jet_batch(p: ParamVector, ws: Workspace, seeds: np.ndarray,
+                       w: np.ndarray) -> np.ndarray:
+    """J'w for the rows' Jacobian J, by one reverse pass over the forward
+    pass at p that `ws` holds.
 
-    Last layer first, it yields (li, zbar, a_in): the adjoint of the layer's
-    pre-activation jet (rows, n, fo) and its input jet (4, n, fi).  Layer 0's
-    input jet is (eta, 1, 0, 0), so there a_in is None and zbar has only the
-    channels 0 and 1 that meet the weights.  Resuming overwrites zbar.
+    Row k of J is d(sum(seeds[:, k] * y[:, k]))/d(params) at the k-th of
+    the m = seeds.shape[1] points.  Each hidden layer's per-row adjoint
+    (channels 0 and 1 only at layer 0) is written over its pre-activation
+    jet in ws.z, where row_gram reads it; the output jet is left as it is.
+    J'w is a fresh array.
     """
-    n = seeds.shape[1]
-    last = len(p.shapes) - 1
-    zbar = seeds.reshape(4, n, 1)
-    for li, (w, _) in reversed(list(enumerate(p.layers()))):
-        fo, fi = w.shape
-        if li < last:
-            rows = 2 if li == 0 else 4
-            t = ws.act[li][: n * fo]
-            z = _jet(ws.z[li], 4, n, fo).reshape(4, n * fo)
-            out = _jet(ws.zbar, rows, n, fo)
-            kernels.tanh_jet_backward(t, z, zbar.reshape(4, n * fo),
-                                      out=out.reshape(rows, n * fo), scratch=ws.scratch)
-            zbar = out
-        if li == 0:
-            yield li, zbar, None
-            return
-        yield li, zbar, _jet(ws.act[li - 1], 4, n, fi)
-        abar = _jet(ws.abar, 4, n, fi)
+    m = seeds.shape[1]
+    zbar = seeds.reshape(4, m, 1)
+    for li, (weight, _) in reversed(list(enumerate(p.layers()))[1:]):
+        fo, fi = weight.shape
+        abar = _jet(ws.abar, 4, m, fi)
         # with one output (the last layer) the product is an outer product
         if fo == 1:
-            np.multiply(zbar, w[0], out=abar)
+            np.multiply(zbar, weight[0], out=abar)
         else:
-            np.matmul(zbar.reshape(4 * n, fo), w, out=abar.reshape(4 * n, fi))
-        zbar = abar
+            np.matmul(zbar.reshape(4 * m, fo), weight, out=abar.reshape(4 * m, fi))
+        # the kernel reads z in full before it writes the adjoint over it
+        z = _jet(ws.z[li - 1], 4, m, fi)
+        zbar = z[: 2 if li == 1 else 4]
+        kernels.tanh_jet_backward(ws.act[li - 1][: m * fi], z.reshape(4, -1), abar.reshape(4, -1),
+                                  out=zbar.reshape(len(zbar), -1), scratch=ws.scratch)
+    return _jt(p, _factors(p, ws, seeds), w, ws.abar)
 
 
-def backward_jet_batch(p: ParamVector, ws: Workspace, ybar: np.ndarray) -> np.ndarray:
-    """Adjoint of forward_jet_batch: gradient of sum(ybar * y) w.r.t. params.
+def _factors(p: ParamVector, ws: Workspace, seeds: np.ndarray):
+    """Each layer's per-row adjoint (rows, m, fo) and input jet (4, m, fi)
+    after backward_jet_batch.  Layer 0's input jet is (eta, 1, 0, 0): there
+    they are the adjoint's channels 0 and 1 and the etas (m,).  The last
+    layer's adjoint is the seeds."""
+    m = seeds.shape[1]
+    yield _jet(ws.z[0], 2, m, p.shapes[0][1]), ws.eta[:m]
+    for li, (fi, fo) in enumerate(p.shapes[1:], 1):
+        zbar = seeds.reshape(4, m, 1) if li == len(p.shapes) - 1 else _jet(ws.z[li], 4, m, fo)
+        yield zbar, _jet(ws.act[li - 1], 4, m, fi)
 
-    `ws` is the workspace that a forward pass at p over ybar.shape[1] points
-    has just filled.  The gradient is a fresh array.
-    """
-    n = ybar.shape[1]
+
+def _jt(p: ParamVector, factors, w: np.ndarray, scratch: np.ndarray):
+    """J'w in ParamVector's layout from each layer's factors (z, a): w'z_0
+    for the biases and (w * z)' a over the 4 m stacked channel rows for the
+    weights, with w * z formed in `scratch`; at layer 0, whose a is the
+    etas, (w * eta)'z_0 + w'z_1.  A layer whose a is None holds its m rows
+    of J in z."""
     flat = np.empty(len(p))
-    grads = list(layer_views(flat, p.shapes))
-    for li, zbar, a_in in _reverse(p, ws, ybar):
-        wbar, bbar = grads[li]
-        fo, fi = wbar.shape
-        zbar[0].sum(axis=0, out=bbar)
-        if a_in is None:
-            np.add(ws.eta[:n] @ zbar[0], zbar[1].sum(axis=0), out=wbar[:, 0])
+    off = 0
+    for (fi, fo), (z, a) in zip(p.shapes, factors):
+        out = flat[off : off + fi * fo + fo]
+        off += out.size
+        if a is None:
+            np.matmul(w, z, out=out)
+            continue
+        wbar, bbar = out[: fi * fo].reshape(fo, fi), out[fi * fo :]
+        np.matmul(w, z[0], out=bbar)
+        if a.ndim == 1:
+            np.add(np.matmul(w * a, z[0]), np.matmul(w, z[1]), out=wbar[:, 0])
         else:
-            np.matmul(zbar.reshape(4 * n, fo).T, a_in.reshape(4 * n, fi), out=wbar)
+            wz = np.multiply(z, w[:, None], out=_jet(scratch, *z.shape))
+            np.matmul(wz.reshape(-1, fo).T, a.reshape(-1, fi), out=wbar)
     return flat
 
 
 def row_gram(p: ParamVector, ws: Workspace, seeds: np.ndarray):
-    """G = J J' and the map w -> J'w for the rows' Jacobian J, without J.
+    """G = J J' and the map w -> J'w for the rows' Jacobian J, without J
+    and without a reverse pass: `ws` holds the per-row adjoints that
+    backward_jet_batch(p, ws, seeds, ...) left in it.
 
-    Row k of J is d(sum(seeds[:, k] * y[:, k]))/d(params) over the forward
-    pass at p that `ws` holds, m = seeds.shape[1] points, one per row.  A
-    layer's rows are adjoints zbar (4, m, fo) and input jets a (4, m, fi):
-    row k's weight block is sum over channels c of zbar[c, k] outer a[c, k],
-    so its part of G is Z_0 Z_0' (the bias) plus the sum over channel pairs
-    (c, d) of (Z_c Z_d') * (A_c A_d'), elementwise, and its part of J'w is
-    w'Z_0 and the stacked (w * Z)' A.  A layer with fan_in or fan_out 1
-    builds its m-row block of J instead.  The map reads copies of the
-    layers' factors, so it stays valid after `ws` is reused.
+    Row k of a layer's weight block is the sum over channels c of
+    zbar[c, k] outer a[c, k], so its part of G is Z_0 Z_0' (the bias) plus
+    the sum over channel pairs (c, d) of (Z_c Z_d') * (A_c A_d'),
+    elementwise.  A layer with fan_in or fan_out 1 builds its m-row block
+    of J instead.  The map reads copies of these, so it stays valid after
+    `ws` is reused; it forms its products in ws.abar.
     """
     m = seeds.shape[1]
     gram = np.zeros((m, m))
     prod, other = np.empty((2, m, m))
-    parts = [None] * len(p.shapes)
-    for li, zbar, a_in in _reverse(p, ws, seeds):
-        fi, fo = p.shapes[li]
+    parts = []
+    for (fi, fo), (zbar, a_in) in zip(p.shapes, _factors(p, ws, seeds)):
         if fi == 1 or fo == 1:
             block = np.empty((m, fi * fo + fo))
             wrows, brows = next(layer_views(block, [(fi, fo)]))
             np.copyto(brows, zbar[0])
-            if a_in is None:
-                np.multiply(zbar[0], ws.eta[:m, None], out=wrows[:, :, 0])
+            if a_in.ndim == 1:
+                np.multiply(zbar[0], a_in[:, None], out=wrows[:, :, 0])
                 wrows[:, :, 0] += zbar[1]
             else:
-                # (m, fo, 4) @ (m, 4, fi): per row, sum over the channels
+                # (m, fo, 4) @ (m, 4, fi): per row, the sum over the channels
                 np.matmul(zbar.transpose(1, 2, 0), a_in.transpose(1, 0, 2), out=wrows)
             gram += np.matmul(block, block.T, out=prod)
-            parts[li] = (wrows, brows, None)
+            parts.append((block, None))
             continue
         z, a = zbar.copy(), a_in.copy()
         gram += np.matmul(z[0], z[0].T, out=prod)
@@ -291,21 +298,8 @@ def row_gram(p: ParamVector, ws: Workspace, seeds: np.ndarray):
                 gram += prod
                 if d > c:
                     gram += prod.T
-        parts[li] = (z, z[0], a)
-
-    def jt(w: np.ndarray) -> np.ndarray:
-        flat = np.empty(len(p))
-        for (wbar, bbar), (z, z0, a) in zip(layer_views(flat, p.shapes), parts):
-            fo, fi = wbar.shape
-            np.matmul(w, z0, out=bbar)
-            if a is None:
-                # z holds the layer's weight rows of J, (m, fo, fi)
-                np.matmul(w, z.reshape(m, fo * fi), out=wbar.reshape(fo * fi))
-            else:
-                np.matmul((z * w[:, None]).reshape(4 * m, fo).T, a.reshape(4 * m, fi), out=wbar)
-        return flat
-
-    return gram, jt
+        parts.append((z, a))
+    return gram, lambda w: _jt(p, parts, w, ws.abar)
 
 
 def save_checkpoint(path, cfg: NetworkConfig, p: ParamVector) -> None:

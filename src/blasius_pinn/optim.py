@@ -44,8 +44,9 @@ def lm_bytes(cfg: NetworkConfig, rows: int) -> int:
     beside the jet workspace.
 
     Live at the peak, while eigh runs: network.row_gram's copies of the
-    layers' factors (the first and the last layer's m-row blocks of J,
-    m (3 w + 1), and 4 m (fi + fo) adjoint and input jets for each layer
+    layers' factors, which it reads from the per-row adjoints and input
+    jets in the workspace (the first and the last layer's m-row blocks of
+    J, m (3 w + 1), and 4 m (fi + fo) adjoint and input jets for each layer
     between; every layer's block when w = 1), G (m^2) and the 4 m^2 that
     eigh (LAPACK dsyevd) holds beside G: its copy, workspace and
     eigenvectors.  row_gram's 2 m^2 of pair products are freed before eigh

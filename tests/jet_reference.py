@@ -4,7 +4,7 @@ Scalar: truncated Taylor arithmetic of order 3 in the coordinate eta, and
 the network evaluated in it one point and one neuron at a time.  Batched:
 the allocating kernels and network passes, as a byte reference for the
 workspace path, and the explicit residual Jacobian that network.row_gram
-factors (at the end of this file).
+factors (at the end of this file), built on the allocating passes alone.
 
 A Jet3 carries a value together with its first three derivatives with
 respect to eta.  The tests check `kernels` and `network.forward_jet_batch`
@@ -213,60 +213,79 @@ def forward_jet_batch_alloc(p, etas):
     return a[:, :, 0], cache
 
 
-def backward_jet_batch_alloc(p, cache, ybar):
-    n = ybar.shape[1]
+def layer_blocks(values, shapes):
+    """Each layer's (W, b) views along the last axis of a (..., P) array in
+    ParamVector's layout, W (..., fan_out, fan_in)."""
+    off = 0
+    for fi, fo in shapes:
+        w = values[..., off : off + fi * fo]
+        yield w.reshape(values.shape[:-1] + (fo, fi)), values[..., off + fi * fo : off + fi * fo + fo]
+        off += fi * fo + fo
+
+
+def row_adjoints_alloc(p, cache, seeds):
+    """Each layer's (zbar, a_in), first layer first: the per-row adjoint of
+    its pre-activation jet (4, m, fo) for the output adjoints `seeds`
+    (4, m), one column per row, and its input jet from the cache (the etas
+    at layer 0)."""
+    m = seeds.shape[1]
     layers = list(p.layers())
-    flat = np.empty(len(p))
-    grads = list(type(p)(flat, p.shapes).layers())
-    zbar = ybar.reshape(4, n, 1)
+    factors = []
+    zbar = seeds.reshape(4, m, 1)
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
-        wbar, bbar = grads[li]
         a_in, zf, t = cache[li]
         fo = w.shape[0]
         if li < len(layers) - 1:
-            zbar = tanh_jet_backward_alloc(t, zf, np.ascontiguousarray(zbar.reshape(4, n * fo)))
-            zbar = zbar.reshape(4, n, fo)
-        zbar[0].sum(axis=0, out=bbar)
-        if li == 0:
-            np.add(a_in @ zbar[0], zbar[1].sum(axis=0), out=wbar[:, 0])
+            zbar = tanh_jet_backward_alloc(t, zf, np.ascontiguousarray(zbar.reshape(4, m * fo)))
+            zbar = zbar.reshape(4, m, fo)
+        factors.append((zbar, a_in))
+        if li > 0:
+            zbar = zbar * w[0] if fo == 1 else (zbar.reshape(4 * m, fo) @ w).reshape(4, m, -1)
+    return factors[::-1]
+
+
+def backward_jet_batch_alloc(p, cache, seeds, w):
+    """J'w from the per-row adjoints: w'zbar_0 for each layer's biases and
+    the stacked (w * zbar)' a_in for its weights, (w * eta)'zbar_0 +
+    w'zbar_1 at layer 0."""
+    m = w.size
+    flat = np.empty(len(p))
+    for (wbar, bbar), (zbar, a_in) in zip(layer_blocks(flat, p.shapes), row_adjoints_alloc(p, cache, seeds)):
+        fo, fi = wbar.shape
+        np.matmul(w, zbar[0], out=bbar)
+        if a_in.ndim == 1:
+            np.add(np.matmul(w * a_in, zbar[0]), np.matmul(w, zbar[1]), out=wbar[:, 0])
         else:
-            zb2 = zbar.reshape(4 * n, fo)
-            np.matmul(zb2.T, a_in.reshape(4 * n, -1), out=wbar)
-            zbar = zbar * w[0] if fo == 1 else (zb2 @ w).reshape(4, n, -1)
+            np.matmul((zbar * w[:, None]).reshape(4 * m, fo).T, a_in.reshape(4 * m, fi), out=wbar)
     return flat
 
 
 def loss_and_grad_alloc(p, grid, pin=None):
     """(LossBreakdown, gradient) through the allocating passes, over the
-    rows' points."""
+    rows' points: the gradient is J'(2 r)."""
     from blasius_pinn.loss import loss_terms, row_points
 
     y, cache = forward_jet_batch_alloc(p, grid.anchored_points[row_points(grid.n, pin is not None)])
     r, seeds, breakdown = loss_terms(y, pin)
-    return breakdown, backward_jet_batch_alloc(p, cache, 2.0 * r * seeds)
+    return breakdown, backward_jet_batch_alloc(p, cache, seeds, 2.0 * r)
 
 
-def row_jacobian(p, ws, seeds, out):
+def row_jacobian(p, cache, seeds, out):
     """Rows of the Jacobian: out[k] = d(sum(seeds[:, k] * y[:, k]))/d(params).
 
-    backward_jet_batch without its sums over points: `ws` holds a forward
-    pass at p over the m = seeds.shape[1] points, one point per row, and
-    `out` (m, len(p)) receives one parameter gradient per row, in
-    ParamVector's layout.  Returns out.
+    `cache` is forward_jet_batch_alloc's over the m = seeds.shape[1]
+    points, one point per row, and `out` (m, len(p)) receives one parameter
+    gradient per row, in ParamVector's layout.  Returns out.
     """
-    from blasius_pinn.network import _reverse, layer_views
-
-    m = seeds.shape[1]
-    blocks = list(layer_views(out, p.shapes))
-    for li, zbar, a_in in _reverse(p, ws, seeds):
-        wrows, brows = blocks[li]
+    blocks = layer_blocks(out, p.shapes)
+    for (wrows, brows), (zbar, a_in) in zip(blocks, row_adjoints_alloc(p, cache, seeds)):
         np.copyto(brows, zbar[0])
-        if a_in is None:
-            np.multiply(zbar[0], ws.eta[:m, None], out=wrows[:, :, 0])
+        if a_in.ndim == 1:
+            np.multiply(zbar[0], a_in[:, None], out=wrows[:, :, 0])
             wrows[:, :, 0] += zbar[1]
         else:
-            # per row, the weight adjoint is sum over channels c of
+            # per row, the weight adjoint is the sum over channels c of
             # zbar[c] (fo) outer a_in[c] (fi): (m, fo, 4) @ (m, 4, fi)
             np.matmul(zbar.transpose(1, 2, 0), a_in.transpose(1, 0, 2), out=wrows)
     return out
@@ -274,13 +293,9 @@ def row_jacobian(p, ws, seeds, out):
 
 def residual_jacobian(p, grid, pin=None):
     """(r, J): the loss's rows at p and their Jacobian (m, len(p)), built
-    explicitly over one forward pass at the rows' points."""
-    from blasius_pinn.loss import residual_rows, row_count, row_points
-    from blasius_pinn.network import Workspace, forward_jet_batch
+    explicitly over one allocating forward pass at the rows' points."""
+    from blasius_pinn.loss import residual_rows, row_points
 
-    n = grid.n
-    m = row_count(n, pin is not None)
-    ws = Workspace(p.shapes, m)
-    y = forward_jet_batch(p, grid.anchored_points[row_points(n, pin is not None)], ws=ws)
+    y, cache = forward_jet_batch_alloc(p, grid.anchored_points[row_points(grid.n, pin is not None)])
     r, seeds = residual_rows(y, pin)
-    return r, row_jacobian(p, ws, seeds, np.empty((m, len(p))))
+    return r, row_jacobian(p, cache, seeds, np.empty((r.size, len(p))))

@@ -32,3 +32,22 @@ def loss_terms_reference(y: np.ndarray, pin: float | None = None):
         pin=0.0 if pin is None else float((y[2, n + 3] - pin) ** 2),
     )
     return r, breakdown, ybar
+
+
+def row_weights_reference(y: np.ndarray, pin: float | None = None):
+    """(w, seeds) of the output jet y at the rows' points (4, m), term by
+    term: each row's weight in the total's gradient, twice the row, and its
+    derivative with respect to the jet at its point, one column per row."""
+    n = y.shape[1] - 3 - (pin is not None)
+    w = np.empty(y.shape[1])
+    seeds = np.zeros_like(y)
+    w[:n] = 2.0 * residual(y[:, :n])
+    seeds[0, :n] = 0.5 * y[2, :n]       # d r/d f = f''/2
+    seeds[2, :n] = 0.5 * y[0, :n]
+    seeds[3, :n] = 1.0
+    w[n], w[n + 1], w[n + 2] = 2.0 * y[0, n], 2.0 * (y[1, n + 1] - 1.0), 2.0 * y[1, n + 2]
+    seeds[0, n] = seeds[1, n + 1] = seeds[1, n + 2] = 1.0
+    if pin is not None:
+        w[n + 3] = 2.0 * (y[2, n + 3] - pin)
+        seeds[2, n + 3] = 1.0
+    return w, seeds

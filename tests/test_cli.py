@@ -135,13 +135,13 @@ class TestConfigParsing:
 
     def test_eigh_counts_toward_the_memory_bound(self):
         # at 8,000 points J J' (0.48 GiB) fits, but eigh's copy of J J', its
-        # workspace and the eigenvectors take 1.91 GiB more; 6,755 points
+        # workspace and the eigenvectors take 1.91 GiB more; 6,792 points
         # is the most that fits
         with pytest.raises(ConfigError, match="2.55 GiB of optimizer state"):
             parse_config("grid.n = 8000\n")
-        assert parse_config("grid.n = 6755\n").grid.n == 6755
+        assert parse_config("grid.n = 6792\n").grid.n == 6792
         with pytest.raises(ConfigError, match="optimizer state"):
-            parse_config("grid.n = 6756\n")
+            parse_config("grid.n = 6793\n")
 
     def test_key_table(self):
         # a new config key is a reviewed change to this list

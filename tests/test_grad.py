@@ -12,7 +12,7 @@ from blasius_pinn.network import (NetworkConfig, ParamVector, Workspace, backwar
                                   forward_jet_batch, init_params, row_gram)
 from fd_oracle import fd_gradient_coords, grad_close
 from jet_reference import residual_jacobian
-from loss_reference import loss_terms_reference
+from loss_reference import loss_terms_reference, row_weights_reference
 from test_workspace import perturbed
 
 GRID = CollocationGrid(0.0, 8.0, 25)
@@ -107,12 +107,14 @@ def row_etas(grid, pin):
                          ids=["default", "probe_pinned"])
 def test_loss_and_grad_bytes_match_the_term_by_term_loss(grid, pin):
     # on the rows' points, every byte of the loss and the gradient is the
-    # one the term-by-term loss terms give
+    # one the term-by-term loss terms give; the gradient is J'w for the
+    # term-by-term seeds and weights w = 2 r
     p = perturbed(NetworkConfig(), 3)
     ws = Workspace(p.shapes, row_count(grid.n, pin is not None))
     y = forward_jet_batch(p, row_etas(grid, pin), ws=ws)
-    _, want_loss, ybar = loss_terms_reference(y, pin)
-    want_grad = backward_jet_batch(p, ws, ybar)
+    _, want_loss, _ = loss_terms_reference(y, pin)
+    w, seeds = row_weights_reference(y, pin)
+    want_grad = backward_jet_batch(p, ws, seeds, w)
     res = loss_and_grad(p, grid, pin=pin)
     assert res.loss == want_loss
     assert res.grad.tobytes() == want_grad.tobytes()
@@ -160,10 +162,12 @@ def test_jacobian_gradient_is_the_loss_gradient(grid, pin):
     (NetworkConfig(), CollocationGrid(-4.5, 7.0, 100), 0.33),
     (NetworkConfig(depth=3, width=17), CollocationGrid(0.0, 8.0, 100), None),
     (NetworkConfig(depth=1, width=8), CollocationGrid(0.0, 8.0, 100), None),
-], ids=["default", "probe_pinned", "depth3_width17", "depth1_width8"])
+    (NetworkConfig(depth=3, width=1), CollocationGrid(0.0, 8.0, 100), None),
+], ids=["default", "probe_pinned", "depth3_width17", "depth1_width8", "depth3_width1"])
 def test_gram_and_transpose_map_match_the_explicit_jacobian(cfg, grid, pin):
     # G = J J' and jt(w) = J'w from each layer's factors, against the
-    # explicit J; depth 1 has no layer whose fan-in and fan-out exceed 1
+    # explicit J; depth 1 has no layer whose fan-in and fan-out exceed 1,
+    # and at width 1 every layer builds its m-row block of J
     p = perturbed(cfg, 3)
     want_r, jac = residual_jacobian(p, grid, pin)
     ws = Workspace(p.shapes, jac.shape[0])
@@ -185,8 +189,9 @@ def test_gram_and_transpose_map_match_the_explicit_jacobian(cfg, grid, pin):
 JACOBIAN_SCRIPT = """
 import hashlib
 import numpy as np
+from blasius_pinn.grad import loss_and_grad
 from blasius_pinn.loss import CollocationGrid
-from blasius_pinn.network import NetworkConfig, ParamVector, init_params
+from blasius_pinn.network import NetworkConfig, ParamVector, Workspace, init_params
 from jet_reference import residual_jacobian
 
 p = init_params(NetworkConfig())
@@ -194,13 +199,17 @@ p = ParamVector(p.values + np.random.default_rng(1).normal(scale=0.1, size=len(p
 digest = hashlib.sha256()
 for grid, pin in ((CollocationGrid(0.0, 8.0, 100), None), (CollocationGrid(-4.5, 7.0, 100), 0.33)):
     r, jac = residual_jacobian(p, grid, pin)
-    digest.update(r.tobytes() + jac.tobytes())
+    ws = Workspace(p.shapes, r.size)
+    loss_and_grad(p, grid, pin, ws=ws)
+    # after the reverse pass the hidden layers' z hold its per-row adjoints
+    digest.update(r.tobytes() + jac.tobytes() + b"".join(z.tobytes() for z in ws.z[:-1]))
 print(digest.hexdigest())
 """
 
 
 def test_jacobian_bytes_do_not_depend_on_blas_threads():
-    # the per-row adjoints of network._reverse, through the reference J
+    # the program's per-row adjoints, which backward_jet_batch leaves in the
+    # workspace, and the reference J built on the allocating passes
     src = os.path.dirname(os.path.dirname(blasius_pinn.__file__))
     path = os.pathsep.join([src, os.path.dirname(__file__)])
     digests = set()

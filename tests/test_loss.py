@@ -4,7 +4,7 @@ import pytest
 from blasius_pinn.loss import (CollocationGrid, LossBreakdown, loss_terms, loss_total, residual,
                                residual_rows, row_count, row_points)
 from blasius_pinn.network import NetworkConfig, ParamVector, forward_jet_batch, init_params
-from loss_reference import loss_terms_reference
+from loss_reference import loss_terms_reference, row_weights_reference
 
 
 def zero_params(depth=2, width=5):
@@ -133,6 +133,11 @@ def test_loss_terms_bytes_match_the_term_by_term_reference(pin):
             # a structural zero of 2 r * seeds takes r's sign; + 0.0 clears
             # it, as the zero-filled adjoint that loss_terms once summed into
             assert (2.0 * r * seeds + 0.0).tobytes() == want_ybar.tobytes()
+            # the gradient's reverse pass takes the seeds and 2 r apart
+            want_w, want_seeds = row_weights_reference(y, pin)
+            assert (2.0 * r).tobytes() == want_w.tobytes()
+            assert seeds.tobytes() == want_seeds.tobytes()
+            assert (want_w * want_seeds + 0.0).tobytes() == want_ybar.tobytes()
             for name in ("ode", "init", "boundary", "pin", "total"):
                 got, want = getattr(bd, name), getattr(want_bd, name)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), name

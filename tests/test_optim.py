@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from blasius_pinn import grad, optim
+from blasius_pinn import grad, kernels, optim
 from blasius_pinn.loss import CollocationGrid
 from blasius_pinn.network import NetworkConfig
 from blasius_pinn.optim import (
@@ -348,25 +348,43 @@ def test_train_refines_through_optim_loss_and_grad(monkeypatch):
     assert rep.best_loss == rep.lbfgs_history[-1][1] == min(seen)
 
 
+def count_calls(monkeypatch, counts, key, module, name):
+    """Count the calls of module.name in counts[key]."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_train_runs_one_forward_pass_per_loss_evaluation(monkeypatch):
     # the refinement's G = J J' and J'w read the workspace that the accepted
     # trial's loss_and_grad filled: they run no forward pass of their own
     counts = {"forward": 0, "loss": 0}
-    forward_jet_batch, loss_and_grad = grad.forward_jet_batch, optim.loss_and_grad
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(grad, "forward_jet_batch", counted("forward", forward_jet_batch))
-    monkeypatch.setattr(optim, "loss_and_grad", counted("loss", loss_and_grad))
+    count_calls(monkeypatch, counts, "forward", grad, "forward_jet_batch")
+    count_calls(monkeypatch, counts, "loss", optim, "loss_and_grad")
     _, rep = train(NetworkConfig(depth=2, width=8, seed=0),
                    AdamConfig(max_steps=40, switch_tol=1e-12),
                    LbfgsConfig(max_iters=25), CollocationGrid(0.0, 8.0, 20))
     assert rep.adam_steps == 40 and rep.lbfgs_history
     assert counts["forward"] == counts["loss"] > 40 + len(rep.lbfgs_history)
+
+
+def test_train_runs_one_reverse_pass_per_loss_evaluation(monkeypatch):
+    # G = J J' and J'w read the per-row adjoints that the accepted trial's
+    # reverse pass left in the workspace: each evaluation runs one tanh-jet
+    # adjoint per hidden layer, and nothing else runs one
+    cfg = NetworkConfig(depth=2, width=8, seed=0)
+    counts = {"backward": 0, "loss": 0}
+    count_calls(monkeypatch, counts, "backward", kernels, "tanh_jet_backward")
+    count_calls(monkeypatch, counts, "loss", optim, "loss_and_grad")
+    _, rep = train(cfg, AdamConfig(max_steps=40, switch_tol=1e-12),
+                   LbfgsConfig(max_iters=25), CollocationGrid(0.0, 8.0, 20))
+    assert rep.adam_steps == 40 and rep.lbfgs_history
+    assert counts["loss"] > 40 + len(rep.lbfgs_history)
+    assert counts["backward"] == cfg.depth * counts["loss"]
 
 
 def test_refinement_never_holds_an_array_the_size_of_the_jacobian():

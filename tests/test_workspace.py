@@ -97,7 +97,7 @@ def test_workspace_bytes_is_the_buffers_size(depth, width, n):
     # the closed form that the config and the CLI check before allocating
     cfg = NetworkConfig(depth, width, 0)
     ws = Workspace(cfg.layer_shapes(), n)
-    buffers = [ws.eta, *ws.z, *ws.act, ws.scratch, ws.abar, ws.zbar]
+    buffers = [ws.eta, *ws.z, *ws.act, ws.scratch, ws.abar]
     assert workspace_bytes(cfg, n) == sum(b.nbytes for b in buffers)
 
 
