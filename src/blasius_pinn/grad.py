@@ -2,7 +2,8 @@
 
 Reverse pass over the recorded jet computation: the loss touches all four
 derivative channels of the network output, so adjoints are propagated for
-the full (value, d1, d2, d3) state through every layer.
+the full (value, d1, d2, d3) state through every layer.  `residuals` gives
+the loss's rows alone, by the forward pass without the reverse one.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import CollocationGrid, LossBreakdown, loss_terms, row_points
+from .loss import CollocationGrid, LossBreakdown, loss_terms, residual_rows, row_points
 from .network import ParamVector, Workspace, backward_jet_batch, forward_jet_batch
 
 
@@ -56,3 +57,13 @@ def loss_and_grad(p: ParamVector, grid: CollocationGrid, pin: float | None = Non
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("non-finite gradient")
     return GradResult(breakdown, grad, r, seeds)
+
+
+def residuals(p: ParamVector, grid: CollocationGrid, pin: float | None = None,
+              *, ws: Workspace | None = None) -> np.ndarray:
+    """The loss's rows (loss.residual_rows) at p, by one forward pass over
+    the rows' points and no reverse pass, as a fresh array.  Non-finite rows
+    are returned as they are, not raised.  `ws` is used as in loss_and_grad,
+    and what it held is overwritten."""
+    etas = grid.anchored_points[row_points(grid.n, pin is not None)]
+    return residual_rows(forward_jet_batch(p, etas, ws=ws), pin)[0]

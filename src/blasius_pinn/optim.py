@@ -3,7 +3,9 @@ Levenberg-Marquardt.
 
 Training runs a full-batch Adam phase to get into a good basin and hands
 off to Levenberg-Marquardt on the loss's residual rows for the final
-digits.  The collocation set is tiny, so everything is full batch.
+digits.  Each Levenberg-Marquardt step carries a second-order term, the
+geodesic acceleration, that one extra forward pass of the rows supplies.
+The collocation set is tiny, so everything is full batch.
 
 L-BFGS (two-loop recursion, strong Wolfe line search) is still defined
 here, and its names carry the refinement's config and report (`LbfgsConfig`,
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grad import DivergenceError, loss_and_grad
+from .grad import DivergenceError, loss_and_grad, residuals
 from .loss import CollocationGrid, LossBreakdown, loss_total, row_count
 from .network import NetworkConfig, ParamVector, Workspace, init_params, row_gram
 
@@ -36,6 +38,9 @@ MAX_LINE_EVALS = 25          # trial steps per line search
 LM_DAMPING_START = 1e-3
 LM_DAMPING_FLOOR = 1e-10     # J J' is numerically singular: most eigenvalues sit near 0
 LM_DAMPING_CAP = 1e6         # no step that lowers the loss at this damping: stalled
+# geodesic acceleration (Transtrum & Sethna 2012)
+LM_ACCEL_H = 0.1             # finite-difference step along the velocity, for the rows' curvature
+LM_ACCEL_RATIO = 0.75        # the acceleration is used while 2 |a| <= this * |velocity|
 BLAS_BUFFER_BYTES = 2 ** 25  # OpenBLAS's packing buffers: 10-16 MiB touched at 3,003 rows
 
 
@@ -272,27 +277,52 @@ def lbfgs_minimize(f_and_grad, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
     return LbfgsResult(best_x, best_f, history, status, n_evals)
 
 
-def lm_minimize(f_and_grad, rows, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
-    """Levenberg-Marquardt on f = sum(r * r), in the space of the m rows.
+def _rows_curvature(probe, x: np.ndarray, r: np.ndarray, velocity: np.ndarray,
+                    j_velocity: np.ndarray):
+    """The rows' second derivative along `velocity` at x, by the finite
+    difference (2/h) [(r(x + h velocity) - r)/h - J velocity], h =
+    LM_ACCEL_H, from one call probe(x + h velocity) -> rows; its error is
+    O(h) in the rows' third derivative.  r and j_velocity are the rows and
+    J velocity at x.  None when the probe's rows are not finite."""
+    h = LM_ACCEL_H
+    r_h = probe(x + h * velocity)
+    if not np.all(np.isfinite(r_h)):
+        return None
+    return (2.0 / h) * ((r_h - r) / h - j_velocity)
+
+
+def lm_minimize(f_and_grad, rows, probe, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
+    """Levenberg-Marquardt with geodesic acceleration on f = sum(r * r), in
+    the space of the m rows.
 
     f_and_grad(x) -> (f, gradient) evaluates every trial point, and
     rows(x) -> (r, G, jt) gives, at each accepted one, the rows, G = J J'
     (m x m) and the map jt: w -> J'w for their Jacobian J (m x len(x)).
     rows is asked only for the point that f_and_grad evaluated last (x0, or
     the trial just accepted), so it may reuse that evaluation.
-    The step is -J' (G + lam I)^-1 r: one eigensolve of G per accepted
-    point serves every damping tried there.  lam follows the gain ratio rho
-    of the actual to the predicted decrease (Nielsen's rule; Madsen,
-    Nielsen & Tingleff 2004): after a step that lowers f it is scaled by
-    max(1/3, 1 - (2 rho - 1)^3), after one that does not it grows by a
-    factor that doubles each time.  lam is kept between LM_DAMPING_FLOOR
-    and LM_DAMPING_CAP times the largest eigenvalue of G.
+    probe(x) -> r gives the rows alone, finite or not, at one point per
+    trial; it need not leave anything for rows.
+
+    The velocity is delta = -J' u, u = (G + lam I)^-1 r: one eigensolve of
+    G per accepted point serves every damping tried there, and gives
+    J delta = -G u without another pass.  The acceleration (Transtrum &
+    Sethna 2012) is a = -J' (G + lam I)^-1 r_vv, with r_vv the rows' second
+    derivative along delta (_rows_curvature, from the probe at
+    x + LM_ACCEL_H delta).  The trial step is delta + a/2 while
+    2 |a| <= LM_ACCEL_RATIO |delta|, and delta otherwise or when the probe's
+    rows are not finite.  lam follows the gain ratio rho of the actual
+    decrease to the one the linear model predicts for delta (Nielsen's
+    rule; Madsen, Nielsen & Tingleff 2004): after a step that lowers f it
+    is scaled by max(1/3, 1 - (2 rho - 1)^3), after one that does not it
+    grows by a factor that doubles each time.  lam is kept between
+    LM_DAMPING_FLOOR and LM_DAMPING_CAP times the largest eigenvalue of G.
 
     Stops as "converged" once max|gradient| <= grad_tol, at x0 or after any
     step (the last one included), as "stalled" when no step at the damping
     cap lowers f, and as "max_iters" after max_iters steps.  Only steps
     that lower f are taken, so the result is never worse than x0.  history
-    holds (iteration, f, max|gradient|, lam) per step.
+    holds (iteration, f, max|gradient|, lam) per step, and n_evals counts
+    the calls of f_and_grad.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = f_and_grad(x)
@@ -321,6 +351,13 @@ def lm_minimize(f_and_grad, rows, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResu
             step = -jt(v @ (c / d))
             # the model's f at the step is |lam u|^2, u = (J J' + lam I)^-1 r
             predicted = float(np.sum(c * c * w * (w + 2.0 * lam) / (d * d)))
+            # a probe far out may overflow: its rows are then not used
+            with np.errstate(all="ignore"):
+                r_vv = _rows_curvature(probe, x, r, step, -(v @ (w * c / d)))
+                if r_vv is not None:
+                    accel = -jt(v @ ((v.T @ r_vv) / d))
+                    if 2.0 * np.linalg.norm(accel) <= LM_ACCEL_RATIO * np.linalg.norm(step):
+                        step += 0.5 * accel
             x_new = x + step
             try:
                 f_new, g_new = f_and_grad(x_new)
@@ -393,6 +430,12 @@ def train(
             raise ValueError("rows asked for at a point other than the last one evaluated")
         return (last[1].r,) + row_gram(ParamVector(x, shapes), ws, last[1].seeds)
 
+    def probe(x: np.ndarray):
+        # a forward pass alone, which leaves ws holding no evaluation
+        nonlocal last
+        last = None
+        return residuals(ParamVector(x, shapes), grid, pin=pin, ws=ws)
+
     state = AdamState.fresh(p.values)
     adam_curve: list[float] = []
     # adam_step returns fresh arrays, so Adam's iterates are held by reference
@@ -407,7 +450,7 @@ def train(
         state = adam_step(state, g, cfg_adam)
 
     # Levenberg-Marquardt starts at Adam's best point and only moves downhill
-    lm = lm_minimize(objective, rows, best_x, cfg_lbfgs)
+    lm = lm_minimize(objective, rows, probe, best_x, cfg_lbfgs)
     p_best = ParamVector(lm.x, shapes)
     final = loss_total(p_best, grid, pin=pin)
     report = TrainingReport(

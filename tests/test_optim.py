@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from collections import deque
 
 import numpy as np
@@ -233,8 +234,18 @@ def test_default_training_reaches_1e_8_on_seeds_0_to_4(trained_runs):
     assert max(losses.values()) <= 1e-8, losses
 
 
+def test_default_training_converges_near_the_oracle_on_seeds_0_to_4(trained_runs, shoot_result):
+    # without the acceleration every seed ran all 200 LM steps and ended
+    # 1.6e-7 to 3.7e-7 from s*(8); with it each meets grad_tol
+    for seed in range(5):
+        p, rep = trained_runs(seed)
+        err = abs(float(grad.forward_jet_batch(p, np.array([0.0]))[2, 0]) - shoot_result.s_star)
+        assert rep.lbfgs_status == "converged", (seed, rep.lbfgs_status)
+        assert err <= 1e-7, (seed, err)
+
+
 def linear_rows(A, b):
-    """r(x) = A x - b as (f_and_grad, rows) for lm_minimize."""
+    """r(x) = A x - b as (f_and_grad, rows, probe) for lm_minimize."""
     def f_and_grad(x):
         r = A @ x - b
         return float(r @ r), 2.0 * A.T @ r
@@ -242,7 +253,7 @@ def linear_rows(A, b):
     def rows(x):
         return A @ x - b, A @ A.T, lambda w: A.T @ w
 
-    return f_and_grad, rows
+    return f_and_grad, rows, lambda x: A @ x - b
 
 
 @pytest.mark.parametrize("m,n", [(12, 5), (5, 12), (30, 30)],
@@ -251,8 +262,8 @@ def test_lm_solves_a_consistent_linear_least_squares_problem(m, n):
     rng = np.random.default_rng(m * n)
     A = rng.normal(size=(m, n))
     x_star = rng.normal(size=n)
-    f_and_grad, rows = linear_rows(A, A @ x_star)
-    res = lm_minimize(f_and_grad, rows, np.zeros(n), LbfgsConfig(max_iters=200, grad_tol=1e-13))
+    f_and_grad, rows, probe = linear_rows(A, A @ x_star)
+    res = lm_minimize(f_and_grad, rows, probe, np.zeros(n), LbfgsConfig(max_iters=200, grad_tol=1e-13))
     assert res.status in ("converged", "stalled")
     assert np.max(np.abs(A @ res.x - A @ x_star)) <= 1e-12
     if m >= n:
@@ -261,18 +272,26 @@ def test_lm_solves_a_consistent_linear_least_squares_problem(m, n):
     assert losses == sorted(losses, reverse=True) and res.fval == losses[-1]
 
 
-def test_lm_rosenbrock_rows():
-    # Rosenbrock as the rows (10 (x1 - x0^2), 1 - x0)
+def rosenbrock_rows():
+    """Rosenbrock as the rows (10 (x1 - x0^2), 1 - x0): (f_and_grad, rows,
+    probe) for lm_minimize."""
+    def probe(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
     def rows(x):
-        r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
         jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-        return r, jac @ jac.T, lambda w: jac.T @ w
+        return probe(x), jac @ jac.T, lambda w: jac.T @ w
 
     def f_and_grad(x):
         r, _, jt = rows(x)
         return float(r @ r), 2.0 * jt(r)
 
-    res = lm_minimize(f_and_grad, rows, np.array([-1.2, 1.0]), LbfgsConfig(grad_tol=1e-12))
+    return f_and_grad, rows, probe
+
+
+def test_lm_rosenbrock_rows():
+    f_and_grad, rows, probe = rosenbrock_rows()
+    res = lm_minimize(f_and_grad, rows, probe, np.array([-1.2, 1.0]), LbfgsConfig(grad_tol=1e-12))
     assert res.status == "converged"
     np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-12)
 
@@ -283,7 +302,7 @@ def test_lm_stalls_at_its_start_when_no_step_lowers_the_loss():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(6, 4))
     b = rng.normal(size=6)
-    f_and_grad, _ = linear_rows(A, b)
+    f_and_grad, _, probe = linear_rows(A, b)
     x0 = rng.normal(size=4)
     calls = []
 
@@ -291,7 +310,7 @@ def test_lm_stalls_at_its_start_when_no_step_lowers_the_loss():
         calls.append(x)
         return f_and_grad(x)
 
-    res = lm_minimize(counted, lambda x: (A @ x - b, A @ A.T, lambda w: -A.T @ w), x0,
+    res = lm_minimize(counted, lambda x: (A @ x - b, A @ A.T, lambda w: -A.T @ w), probe, x0,
                       LbfgsConfig())
     assert res.status == "stalled"
     assert res.history == []
@@ -301,11 +320,11 @@ def test_lm_stalls_at_its_start_when_no_step_lowers_the_loss():
 
 def test_lm_converged_and_max_iters_statuses():
     A = np.eye(3)
-    f_and_grad, rows = linear_rows(A, np.ones(3))
+    f_and_grad, rows, probe = linear_rows(A, np.ones(3))
     # already at the minimum: no Jacobian is formed
-    res = lm_minimize(f_and_grad, None, np.ones(3), LbfgsConfig(grad_tol=0.0))
+    res = lm_minimize(f_and_grad, None, None, np.ones(3), LbfgsConfig(grad_tol=0.0))
     assert res.status == "converged" and res.n_evals == 1 and res.history == []
-    res = lm_minimize(f_and_grad, rows, np.zeros(3), LbfgsConfig(max_iters=2, grad_tol=0.0))
+    res = lm_minimize(f_and_grad, rows, probe, np.zeros(3), LbfgsConfig(max_iters=2, grad_tol=0.0))
     assert res.status == "max_iters" and [h[0] for h in res.history] == [1, 2]
     assert res.fval < 3.0
 
@@ -314,12 +333,92 @@ def test_lm_converged_when_its_last_step_meets_grad_tol():
     # one step from 0 takes max|g| from 5 to 0.0118, under grad_tol = 1: the
     # run must say so even though that step used up max_iters
     A = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    f_and_grad, rows = linear_rows(A, np.array([1.0, 2.0, 0.5]))
+    f_and_grad, rows, probe = linear_rows(A, np.array([1.0, 2.0, 0.5]))
     for max_iters in (1, 2):
-        res = lm_minimize(f_and_grad, rows, np.zeros(2),
+        res = lm_minimize(f_and_grad, rows, probe, np.zeros(2),
                           LbfgsConfig(max_iters=max_iters, grad_tol=1.0))
         assert res.status == "converged" and len(res.history) == 1
         assert 0.01 < res.history[0][2] <= 1.0
+
+
+def curved_rows(seed, m=6, n=4):
+    """r_k(x) = a_k'x + 1/2 x'B_k x + 1/6 (c_k'x)^3 with its exact J
+    velocity, second and third derivatives along a velocity."""
+    rng = np.random.default_rng(seed)
+    A, C = rng.normal(size=(m, n)), rng.normal(size=(m, n))
+    B = rng.normal(size=(m, n, n))
+    B += B.transpose(0, 2, 1)
+
+    def r(x):
+        return A @ x + 0.5 * np.einsum("i,kij,j->k", x, B, x) + (C @ x) ** 3 / 6.0
+
+    def derivatives(x, v):
+        jv = A @ v + np.einsum("i,kij,j->k", x, B, v) + 0.5 * (C @ x) ** 2 * (C @ v)
+        return jv, np.einsum("i,kij,j->k", v, B, v) + (C @ x) * (C @ v) ** 2, (C @ v) ** 3
+
+    return r, derivatives, rng.normal(size=n), rng.normal(size=n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rows_curvature_is_the_second_derivative_within_o_of_h(seed):
+    # the finite difference is exact on quadratic rows, so its error on
+    # these is the cubic term's h/3 times the third derivative
+    r, derivatives, x, v = curved_rows(seed)
+    jv, r_vv, r_vvv = derivatives(x, v)
+    fd = optim._rows_curvature(r, x, r(x), v, jv)
+    np.testing.assert_allclose(fd - r_vv, optim.LM_ACCEL_H / 3.0 * r_vvv, rtol=0,
+                               atol=1e-11 * np.abs(r_vv).max())
+
+
+def plain_lm(monkeypatch, *args):
+    """lm_minimize with the acceleration never taken: every step is the
+    velocity."""
+    with monkeypatch.context() as patch:
+        patch.setattr(optim, "LM_ACCEL_RATIO", 0.0)
+        return lm_minimize(*args)
+
+
+def recording(f_and_grad, points):
+    def recorded(x):
+        points.append(x.copy())
+        return f_and_grad(x)
+    return recorded
+
+
+@pytest.mark.parametrize("m,n", [(12, 5), (5, 12)], ids=["overdetermined", "underdetermined"])
+def test_lm_acceleration_vanishes_on_linear_rows(monkeypatch, m, n):
+    rng = np.random.default_rng(m + n)
+    A = rng.normal(size=(m, n))
+    f_and_grad, rows, probe = linear_rows(A, rng.normal(size=m))
+    x = rng.normal(size=n)
+    v = rng.normal(size=n)
+    r_vv = optim._rows_curvature(probe, x, probe(x), v, A @ v)
+    assert np.max(np.abs(r_vv)) <= 1e-12 * np.max(np.abs(A @ v))
+    # a few steps, while f is still far above its minimum's rounding
+    cfg = LbfgsConfig(max_iters=3, grad_tol=0.0)
+    accelerated, plain = [], []
+    lm_minimize(recording(f_and_grad, accelerated), rows, probe, np.zeros(n), cfg)
+    plain_lm(monkeypatch, recording(f_and_grad, plain), rows, probe, np.zeros(n), cfg)
+    assert len(accelerated) == len(plain) == 4
+    # what is left of a is rounding, times 2/h^2 = 200 and (G + lam I)^-1
+    np.testing.assert_allclose(accelerated, plain, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
+def test_lm_takes_the_velocity_when_the_probe_fails(monkeypatch, value):
+    # rows the probe could not evaluate, or rows so far out that the finite
+    # difference overflows, leave the plain step: no exception, no warning
+    f_and_grad, rows, probe = rosenbrock_rows()
+    cfg = LbfgsConfig(max_iters=30, grad_tol=0.0)
+    x0 = np.array([-1.2, 1.0])
+    failed, plain, accelerated = [], [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = lm_minimize(recording(f_and_grad, failed), rows, lambda x: np.full(2, value), x0, cfg)
+    plain_lm(monkeypatch, recording(f_and_grad, plain), rows, probe, x0, cfg)
+    lm_minimize(recording(f_and_grad, accelerated), rows, probe, x0, cfg)
+    assert res.history and np.array_equal(failed, plain)
+    assert not np.array_equal(accelerated[:len(plain)], plain[:len(accelerated)])
 
 
 def test_train_refines_through_optim_loss_and_grad(monkeypatch):
@@ -361,7 +460,9 @@ def count_calls(monkeypatch, counts, key, module, name):
 
 def test_train_runs_one_forward_pass_per_loss_evaluation(monkeypatch):
     # the refinement's G = J J' and J'w read the workspace that the accepted
-    # trial's loss_and_grad filled: they run no forward pass of their own
+    # trial's loss_and_grad filled: they run no forward pass of their own.
+    # Each LM trial adds one forward pass, the acceleration's probe; the
+    # refinement's first loss_and_grad, at Adam's best point, is no trial
     counts = {"forward": 0, "loss": 0}
     count_calls(monkeypatch, counts, "forward", grad, "forward_jet_batch")
     count_calls(monkeypatch, counts, "loss", optim, "loss_and_grad")
@@ -369,7 +470,9 @@ def test_train_runs_one_forward_pass_per_loss_evaluation(monkeypatch):
                    AdamConfig(max_steps=40, switch_tol=1e-12),
                    LbfgsConfig(max_iters=25), CollocationGrid(0.0, 8.0, 20))
     assert rep.adam_steps == 40 and rep.lbfgs_history
-    assert counts["forward"] == counts["loss"] > 40 + len(rep.lbfgs_history)
+    trials = counts["loss"] - rep.adam_steps - 1
+    assert trials >= len(rep.lbfgs_history)
+    assert counts["forward"] == counts["loss"] + trials
 
 
 def test_train_runs_one_reverse_pass_per_loss_evaluation(monkeypatch):
