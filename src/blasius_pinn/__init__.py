@@ -8,7 +8,7 @@ negative-axis probe locates the singularity of the analytic continuation.
 """
 
 from .network import NetworkConfig, ParamVector, Workspace, init_params, forward_jet_batch
-from .loss import CollocationGrid, LossBreakdown, residual, loss_terms, loss_total
+from .loss import CollocationGrid, LossBreakdown, residual, residual_rows, loss_total
 from .grad import GradResult, loss_and_grad, DivergenceError
 from .optim import AdamConfig, AdamState, adam_step, LbfgsConfig, lbfgs_minimize, TrainingReport, train
 from .oracle import SolutionTable, ShootingResult, rk4_shoot, shoot, backward_blowup

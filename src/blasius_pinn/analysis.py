@@ -121,11 +121,12 @@ def pole_from_profile(eta: np.ndarray, f: np.ndarray) -> float | None:
     Near the pole the Blasius function follows its leading Laurent term
     f ~ 6/(eta - eta_s), so eta_s ~ eta0 - 6/f(eta0) at the leftmost sample
     eta0.  Returns None unless f(eta0) is finite and positive, i.e. unless f
-    grows toward the left as it does ahead of the pole.
+    grows toward the left as it does ahead of the pole, and the estimate lies
+    no farther beyond eta0 than eta0 lies from the wall (eta_s >= 2 eta0).
     """
     i = int(np.argmin(eta))
     f0 = float(f[i])
-    if not (np.isfinite(f0) and f0 > 0.0):
+    if not (np.isfinite(f0) and f0 > 0.0 and 6.0 / f0 <= -float(eta[i])):
         return None
     return float(eta[i]) - 6.0 / f0
 

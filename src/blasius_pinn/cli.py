@@ -8,13 +8,15 @@ compute: outputs naming one file twice, or the checkpoint read, are a config
 error.  The mode computes and checks everything it reports, then returns a
 writer per output and its `ok` line.  Then main stages each file beside its
 target and renames them only once the last is written, so a failed check or a
-failed write leaves none of them and never a truncated one.  Exit codes: 0
-success, 2 config error, 3 numerical divergence, 4 I/O failure.
+failed write leaves none of them, never a truncated one and no directory that
+staging made.  Exit codes: 0 success, 2 config error, 3 numerical divergence,
+4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import os
 import sys
@@ -32,20 +34,29 @@ from .plotting import plot_limits, plot_solution_table, solution_curves
 
 
 def _atomic(path, write_fn):
-    """Create the new file `path`, its directory if need be, and fill it
-    with write_fn(path); remove it if write_fn fails.
+    """Create the new file `path` and fill it with write_fn(path); remove it
+    if write_fn fails.
 
     open(path, "x") creates it with the mode a plain open() gives (0666 less
     the umask) and never takes over a file that exists.  _write_all stages
     each output through one call; perfbench/spans.py wraps it by this name.
     """
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     open(path, "x").close()
     try:
         write_fn(path)
     except BaseException:
         os.unlink(path)
         raise
+
+
+def _make_parents(path, made: list) -> None:
+    """Make the missing directories above `path`, shallowest first, and
+    append each to `made` once it is made."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.exists(parent):
+        _make_parents(parent, made)
+        os.mkdir(parent)
+        made.append(parent)
 
 
 def _check_targets(paths, source: str) -> None:
@@ -66,13 +77,14 @@ def _check_targets(paths, source: str) -> None:
 def _write_all(files) -> None:
     """Stage each file beside its target through _atomic, as .tmp-<pid>-<k>
     for the k-th file, then rename the staged files onto their targets; on any
-    failure remove the staged files not yet renamed.  A target whose path
-    passes through a missing directory (missing/../x, so not normalised)
-    fails while staging, before any rename."""
-    staged = []
+    failure remove the staged files not yet renamed and the empty directories
+    that staging made, deepest first.  A target whose path passes through a
+    missing directory (missing/../x, so not normalised) fails while staging."""
+    staged, made = [], []
     try:
         for k, (path, writer) in enumerate(files):
             tmp = os.path.join(os.path.dirname(path), f".tmp-{os.getpid()}-{k}")
+            _make_parents(tmp, made)
             _atomic(tmp, writer)
             staged.append(tmp)
         for tmp, (path, _) in zip(staged, files):
@@ -81,6 +93,9 @@ def _write_all(files) -> None:
         for tmp in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for parent in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(parent)
         raise
 
 

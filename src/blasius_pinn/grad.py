@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import CollocationGrid, LossBreakdown, loss_terms, residual_rows, row_points
+from .loss import CollocationGrid, LossBreakdown, residual_rows
 from .network import ParamVector, Workspace, backward_jet_batch, forward_jet_batch
 
 
@@ -32,21 +32,21 @@ def loss_and_grad(p: ParamVector, grid: CollocationGrid, pin: float | None = Non
                   *, ws: Workspace | None = None) -> GradResult:
     """Loss breakdown and d(total)/d(theta) in one forward + one reverse pass.
 
-    The forward pass runs over the rows' points (`loss.row_points`), one
+    The forward pass runs over the rows' points (`grid.row_etas`), one
     point per row of loss.residual_rows, and the reverse pass is seeded
-    once per row: the gradient is J'(2 r), and the per-row adjoints that
-    the pass leaves in the workspace serve network.row_gram with the
-    result's seeds.  `ws` is a Workspace for p's shapes and at least the m
-    rows' points; a caller that evaluates repeatedly, as optim.train does,
-    passes the same one each time, and without one a temporary workspace
-    is used.  The result's arrays are fresh, so they stay valid across
-    later calls.
+    once per row: the gradient is J'(2 r).  The pass leaves its per-row
+    adjoints in the workspace, and network.row_gram forms G = J J' from
+    them with the result's seeds, until the workspace's next pass.  `ws`
+    is a Workspace for p's shapes and at least the m rows' points; a
+    caller that evaluates repeatedly, as optim.train does, passes the same
+    one each time, and without one a temporary workspace is used.  The
+    result's arrays are fresh, so they stay valid across later calls.
     """
-    etas = grid.anchored_points[row_points(grid.n, pin is not None)]
+    etas = grid.row_etas(pin is not None)
     if ws is None:
         ws = Workspace(p.shapes, etas.size)
     y = forward_jet_batch(p, etas, ws=ws)
-    r, seeds, breakdown = loss_terms(y, pin)
+    r, seeds, breakdown = residual_rows(y, pin)
     if not np.all(np.isfinite(r)):
         bad = int(np.argmax(~np.isfinite(r)))
         raise DivergenceError(f"non-finite residual at eta={etas[bad]:.6g}")
@@ -63,7 +63,7 @@ def residuals(p: ParamVector, grid: CollocationGrid, pin: float | None = None,
               *, ws: Workspace | None = None) -> np.ndarray:
     """The loss's rows (loss.residual_rows) at p, by one forward pass over
     the rows' points and no reverse pass, as a fresh array.  Non-finite rows
-    are returned as they are, not raised.  `ws` is used as in loss_and_grad,
-    and what it held is overwritten."""
-    etas = grid.anchored_points[row_points(grid.n, pin is not None)]
-    return residual_rows(forward_jet_batch(p, etas, ws=ws), pin)[0]
+    are returned as they are, not raised.  `ws` is used as in loss_and_grad:
+    its pass replaces what the workspace held, so row_gram can no longer
+    read an earlier evaluation's adjoints from it."""
+    return residual_rows(forward_jet_batch(p, grid.row_etas(pin is not None), ws=ws), pin)[0]

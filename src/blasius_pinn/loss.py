@@ -42,16 +42,17 @@ class CollocationGrid:
             raise ValueError(f"grid requires n <= {MAX_POINTS}")
 
     @cached_property
-    def anchored_points(self) -> np.ndarray:
-        """Read-only: the n grid points, then the anchors 0 (wall) and eta_m
-        (far field), where the loss evaluates the network."""
-        pts = np.concatenate([np.linspace(self.eta0, self.eta_m, self.n), [0.0, self.eta_m]])
+    def points(self) -> np.ndarray:
+        """Read-only: the n grid points."""
+        pts = np.linspace(self.eta0, self.eta_m, self.n)
         pts.flags.writeable = False
         return pts
 
-    @property
-    def points(self) -> np.ndarray:
-        return self.anchored_points[: self.n]
+    def row_etas(self, pinned: bool) -> np.ndarray:
+        """The point of each row of residual_rows, as a fresh array: the n
+        grid points, then the wall 0 for f(0), the far field eta_m for
+        f'(eta_m) - 1, and the wall for f'(0) and, when pinned, f''(0) - pin."""
+        return np.concatenate([self.points, (0.0, self.eta_m, 0.0, 0.0)[: 3 + pinned]])
 
 
 @dataclass(frozen=True)
@@ -76,23 +77,18 @@ def row_count(n: int, pinned: bool) -> int:
     return n + 3 + pinned
 
 
-def row_points(n: int, pinned: bool) -> np.ndarray:
-    """Index into `anchored_points` of the point each row of residual_rows
-    sits at: the first n + 2 rows sit at the anchored points in their order,
-    then f'(0) and, when pinned, f''(0) - pin sit at the wall."""
-    return np.r_[np.arange(n + 2), n, n][: row_count(n, pinned)]
-
-
-def residual_rows(y: np.ndarray, pin: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the loss, whose squares sum to the total loss.
+def residual_rows(y: np.ndarray, pin: float | None = None) -> tuple[np.ndarray, np.ndarray, LossBreakdown]:
+    """The rows of the loss, their seeds, and the loss breakdown from the
+    rows' squares.
 
     y is the output jet (shape (4, m)) at the rows' points, one point per
-    row: `anchored_points[row_points(n, pinned)]`.  The m = n + 3 rows
-    (n + 4 with a pin) are the ODE residuals at the n grid points, f(0),
-    f'(eta_m) - 1, f'(0) and f''(0) - pin, each read at its own point.
-    Returns (r, seeds): the rows (m,) and each row's derivative with respect
+    row: `grid.row_etas(pin is not None)`.  The m = n + 3 rows (n + 4 with a
+    pin) are the ODE residuals at the n grid points, f(0), f'(eta_m) - 1,
+    f'(0) and f''(0) - pin, each read at its own point.  Returns
+    (r, seeds, breakdown): the rows (m,), each row's derivative with respect
     to the jet at its point (4, m), one column per row on the channels
-    (f, f', f'', f''').
+    (f, f', f'', f'''), and the breakdown.  The total's adjoint at the rows'
+    points is 2 r * seeds.
     """
     m = y.shape[1]
     n = m - 3 - (pin is not None)
@@ -109,15 +105,6 @@ def residual_rows(y: np.ndarray, pin: float | None = None) -> tuple[np.ndarray, 
     if pin is not None:
         r[n + 3] = y[2, n + 3] - pin
         seeds[2, n + 3] = 1.0
-    return r, seeds
-
-
-def loss_terms(y: np.ndarray, pin: float | None = None) -> tuple[np.ndarray, np.ndarray, LossBreakdown]:
-    """(r, seeds, breakdown): the rows of residual_rows on the output jet y
-    at the rows' points, their seeds, and the loss breakdown from the rows'
-    squares.  The total's adjoint at the rows' points is 2 r * seeds."""
-    r, seeds = residual_rows(y, pin)
-    n = r.size - 3 - (pin is not None)
     breakdown = LossBreakdown(
         ode=float(np.sum(r[:n] * r[:n])),
         init=float(r[n] ** 2 + r[n + 2] ** 2),
@@ -129,5 +116,4 @@ def loss_terms(y: np.ndarray, pin: float | None = None) -> tuple[np.ndarray, np.
 
 def loss_total(p: ParamVector, grid: CollocationGrid, pin: float | None = None) -> LossBreakdown:
     """Full loss breakdown; one batched forward pass over the rows' points."""
-    etas = grid.anchored_points[row_points(grid.n, pin is not None)]
-    return loss_terms(forward_jet_batch(p, etas), pin)[2]
+    return residual_rows(forward_jet_batch(p, grid.row_etas(pin is not None)), pin)[2]

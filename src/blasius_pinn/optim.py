@@ -5,7 +5,8 @@ Training runs a full-batch Adam phase to get into a good basin and hands
 off to Levenberg-Marquardt on the loss's residual rows for the final
 digits.  Each Levenberg-Marquardt step carries a second-order term, the
 geodesic acceleration, that one extra forward pass of the rows supplies.
-The collocation set is tiny, so everything is full batch.
+Each point's rows are read from the workspace that its own evaluation
+filled.  The collocation set is tiny, so everything is full batch.
 
 L-BFGS (two-loop recursion, strong Wolfe line search) is still defined
 here, and its names carry the refinement's config and report (`LbfgsConfig`,
@@ -55,10 +56,11 @@ def lm_bytes(cfg: NetworkConfig, rows: int) -> int:
     between; every layer's block when w = 1), G (m^2) and the 4 m^2 that
     eigh (LAPACK dsyevd) holds beside G: its copy, workspace and
     eigenvectors.  row_gram's 2 m^2 of pair products are freed before eigh
-    runs, and each step frees the previous step's arrays before forming G.
-    On top, a second factor-sized set and BLAS_BUFFER_BYTES: the products
-    of J'w, the heap that the allocator keeps from freed arrays and the BLAS
-    library's packing buffers.
+    runs.  When the next point's G forms, the previous step's G,
+    eigenvectors and factors are freed, and only m- and parameter-sized
+    arrays stay live.  On top, a second factor-sized set and
+    BLAS_BUFFER_BYTES: the products of J'w, the heap that the allocator
+    keeps from freed arrays and the BLAS library's packing buffers.
     """
     w = cfg.width
     factors = cfg.param_count() if w == 1 else 3 * w + 1 + 8 * w * (cfg.depth - 1)
@@ -291,17 +293,16 @@ def _rows_curvature(probe, x: np.ndarray, r: np.ndarray, velocity: np.ndarray,
     return (2.0 / h) * ((r_h - r) / h - j_velocity)
 
 
-def lm_minimize(f_and_grad, rows, probe, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
+def lm_minimize(evaluate, probe, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResult:
     """Levenberg-Marquardt with geodesic acceleration on f = sum(r * r), in
     the space of the m rows.
 
-    f_and_grad(x) -> (f, gradient) evaluates every trial point, and
-    rows(x) -> (r, G, jt) gives, at each accepted one, the rows, G = J J'
-    (m x m) and the map jt: w -> J'w for their Jacobian J (m x len(x)).
-    rows is asked only for the point that f_and_grad evaluated last (x0, or
-    the trial just accepted), so it may reuse that evaluation.
-    probe(x) -> r gives the rows alone, finite or not, at one point per
-    trial; it need not leave anything for rows.
+    evaluate(x) -> (f, gradient, rows) evaluates x0 and every trial point,
+    and rows() -> (r, G, jt) gives that point's rows, G = J J' (m x m) and
+    the map jt: w -> J'w for their Jacobian J (m x len(x)).  rows may read
+    what its evaluation left behind: it is called at most once, at x0 or an
+    accepted trial, before any later evaluate or probe.  probe(x) -> r gives
+    the rows alone, finite or not, at one point per trial.
 
     The velocity is delta = -J' u, u = (G + lam I)^-1 r: one eigensolve of
     G per accepted point serves every damping tried there, and gives
@@ -322,10 +323,10 @@ def lm_minimize(f_and_grad, rows, probe, x0: np.ndarray, cfg: LbfgsConfig) -> Lb
     cap lowers f, and as "max_iters" after max_iters steps.  Only steps
     that lower f are taken, so the result is never worse than x0.  history
     holds (iteration, f, max|gradient|, lam) per step, and n_evals counts
-    the calls of f_and_grad.
+    the calls of evaluate.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
-    f, g = f_and_grad(x)
+    f, g, rows = evaluate(x)
     n_evals = 1
     history = []
     gnorm = float(np.max(np.abs(g), initial=0.0))
@@ -334,7 +335,7 @@ def lm_minimize(f_and_grad, rows, probe, x0: np.ndarray, cfg: LbfgsConfig) -> Lb
     for it in range(cfg.max_iters):
         if gnorm <= cfg.grad_tol:
             break
-        r, gram, jt = rows(x)
+        r, gram, jt = rows()
         if not np.all(np.isfinite(gram)):
             raise DivergenceError("non-finite J J' of the residual rows")
         w, v = np.linalg.eigh(gram)
@@ -360,13 +361,13 @@ def lm_minimize(f_and_grad, rows, probe, x0: np.ndarray, cfg: LbfgsConfig) -> Lb
                         step += 0.5 * accel
             x_new = x + step
             try:
-                f_new, g_new = f_and_grad(x_new)
+                f_new, g_new, rows_new = evaluate(x_new)
             except DivergenceError:
                 f_new = np.inf
             n_evals += 1
             if f_new < f and predicted > 0.0:
                 rho = (f - f_new) / predicted
-                x, f = x_new, f_new
+                x, f, rows = x_new, f_new, rows_new
                 gnorm = float(np.max(np.abs(g_new), initial=0.0))
                 history.append((it + 1, f, gnorm, lam))
                 lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
@@ -408,32 +409,22 @@ def train(
     """Initialize, run Adam until max_steps or switch_tol, then refine with
     Levenberg-Marquardt (lm_minimize) under cfg_lbfgs's budget.
 
-    Returns the best parameters visited across both phases.
+    Both phases evaluate through optim.loss_and_grad in one workspace at
+    the rows' m points.  A refinement point's rows() keeps only its rows and
+    seeds, and row_gram reads the adjoints that its evaluation left in the
+    workspace.  Returns the best parameters visited across both phases.
     """
     t_start = time.perf_counter()
     p = init_params(cfg_net)
     shapes = p.shapes
-    # one workspace at the rows' m points: each evaluation's forward pass
-    # also serves row_gram when lm_minimize accepts that point
     ws = Workspace(shapes, row_count(grid.n, pin is not None))
-    last = None             # (x, GradResult) of the pass that ws holds
 
-    def objective(x: np.ndarray):
-        nonlocal last
-        last = None
+    def evaluate(x: np.ndarray):
         res = loss_and_grad(ParamVector(x, shapes), grid, pin=pin, ws=ws)
-        last = (x, res)
-        return res.loss.total, res.grad
-
-    def rows(x: np.ndarray):
-        if last is None or not np.array_equal(x, last[0]):
-            raise ValueError("rows asked for at a point other than the last one evaluated")
-        return (last[1].r,) + row_gram(ParamVector(x, shapes), ws, last[1].seeds)
+        r, seeds = res.r, res.seeds
+        return res.loss.total, res.grad, lambda: (r,) + row_gram(ParamVector(x, shapes), ws, seeds)
 
     def probe(x: np.ndarray):
-        # a forward pass alone, which leaves ws holding no evaluation
-        nonlocal last
-        last = None
         return residuals(ParamVector(x, shapes), grid, pin=pin, ws=ws)
 
     state = AdamState.fresh(p.values)
@@ -441,16 +432,17 @@ def train(
     # adam_step returns fresh arrays, so Adam's iterates are held by reference
     best_x, best_f = state.x, np.inf
     for _ in range(cfg_adam.max_steps):
-        f, g = objective(state.x)
+        res = loss_and_grad(ParamVector(state.x, shapes), grid, pin=pin, ws=ws)
+        f = res.loss.total
         adam_curve.append(f)
         if f < best_f:
             best_f, best_x = f, state.x
         if f <= cfg_adam.switch_tol:
             break
-        state = adam_step(state, g, cfg_adam)
+        state = adam_step(state, res.grad, cfg_adam)
 
     # Levenberg-Marquardt starts at Adam's best point and only moves downhill
-    lm = lm_minimize(objective, rows, probe, best_x, cfg_lbfgs)
+    lm = lm_minimize(evaluate, probe, best_x, cfg_lbfgs)
     p_best = ParamVector(lm.x, shapes)
     final = loss_total(p_best, grid, pin=pin)
     report = TrainingReport(

@@ -264,10 +264,10 @@ def backward_jet_batch_alloc(p, cache, seeds, w):
 def loss_and_grad_alloc(p, grid, pin=None):
     """(LossBreakdown, gradient) through the allocating passes, over the
     rows' points: the gradient is J'(2 r)."""
-    from blasius_pinn.loss import loss_terms, row_points
+    from blasius_pinn.loss import residual_rows
 
-    y, cache = forward_jet_batch_alloc(p, grid.anchored_points[row_points(grid.n, pin is not None)])
-    r, seeds, breakdown = loss_terms(y, pin)
+    y, cache = forward_jet_batch_alloc(p, grid.row_etas(pin is not None))
+    r, seeds, breakdown = residual_rows(y, pin)
     return breakdown, backward_jet_batch_alloc(p, cache, seeds, 2.0 * r)
 
 
@@ -294,8 +294,8 @@ def row_jacobian(p, cache, seeds, out):
 def residual_jacobian(p, grid, pin=None):
     """(r, J): the loss's rows at p and their Jacobian (m, len(p)), built
     explicitly over one allocating forward pass at the rows' points."""
-    from blasius_pinn.loss import residual_rows, row_points
+    from blasius_pinn.loss import residual_rows
 
-    y, cache = forward_jet_batch_alloc(p, grid.anchored_points[row_points(grid.n, pin is not None)])
-    r, seeds = residual_rows(y, pin)
+    y, cache = forward_jet_batch_alloc(p, grid.row_etas(pin is not None))
+    r, seeds, _ = residual_rows(y, pin)
     return r, row_jacobian(p, cache, seeds, np.empty((r.size, len(p))))

@@ -1,4 +1,4 @@
-"""The loss terms as `loss.loss_terms` computed them before it was built on
+"""The loss terms as the loss computed them term by term, before it was built on
 `loss.residual_rows`: a byte reference for the rows."""
 
 from __future__ import annotations

@@ -191,6 +191,11 @@ def test_pole_from_profile_needs_growth():
     assert pole_from_profile(eta, -np.ones(5)) is None
     # an exact pole term is inverted exactly
     assert pole_from_profile(eta, 6.0 / (eta + 5.7)) == pytest.approx(-5.7, abs=1e-12)
+    # a pole farther beyond the leftmost sample than it lies from the wall
+    # is outside what the profile can tell
+    assert pole_from_profile(eta, 6.0 / (eta + 8.0)) == pytest.approx(-8.0, abs=1e-12)
+    assert pole_from_profile(eta, 6.0 / (eta + 8.5)) is None
+    assert pole_from_profile(eta, np.full(5, 0.1)) is None
 
 
 def test_growth_onset_on_exact_solution_precedes_pole(shoot_result):

@@ -684,6 +684,26 @@ class TestCliErrors:
         assert "No space left on device" in capsys.readouterr().err
         assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
 
+    def test_failed_write_removes_the_directories_it_made(self, tmp_path, capsys):
+        # the loss curve's directory and --out are made while staging, before
+        # the table's path through a missing directory fails: both go again
+        bad = "paths.csv_out = missing/../x.csv\n"
+        out = tmp_path / "out"
+        for text in (FAST_TRAIN + "paths.curve_out = sub/c.csv\n" + bad, FAST_TRAIN + bad):
+            cfg = write_cfg(tmp_path, text)
+            assert main(["train", "--config", cfg, "--out", str(out)]) == 4
+            assert "error: io:" in capsys.readouterr().err
+            assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
+
+        # a directory that was there before the run stays, and so does
+        # what it held
+        (out / "kept").mkdir(parents=True)
+        cfg = write_cfg(tmp_path, FAST_TRAIN + "paths.curve_out = sub/c.csv\n" + bad)
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 4
+        capsys.readouterr()
+        assert sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*")) == [
+            "out", os.path.join("out", "kept"), "run.cfg"]
+
     def test_failed_run_leaves_no_partial_files(self, tmp_path, capsys):
         # atomic writes: a failing run must not leave temp or partial outputs
         cfg = write_cfg(tmp_path, "network.depth = -1\n")

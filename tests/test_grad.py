@@ -7,7 +7,7 @@ import pytest
 
 import blasius_pinn
 from blasius_pinn.grad import DivergenceError, loss_and_grad
-from blasius_pinn.loss import CollocationGrid, loss_total, residual_rows, row_count, row_points
+from blasius_pinn.loss import CollocationGrid, loss_total, residual_rows, row_count
 from blasius_pinn.network import (NetworkConfig, ParamVector, Workspace, backward_jet_batch,
                                   forward_jet_batch, init_params, row_gram)
 from fd_oracle import fd_gradient_coords, grad_close
@@ -98,10 +98,6 @@ def test_divergence_error_on_nonfinite_params():
         loss_and_grad(p, GRID)
 
 
-def row_etas(grid, pin):
-    return grid.anchored_points[row_points(grid.n, pin is not None)]
-
-
 @pytest.mark.parametrize("grid,pin", [(CollocationGrid(0.0, 8.0, 100), None),
                                       (CollocationGrid(-4.5, 7.0, 100), 0.33)],
                          ids=["default", "probe_pinned"])
@@ -111,7 +107,7 @@ def test_loss_and_grad_bytes_match_the_term_by_term_loss(grid, pin):
     # term-by-term seeds and weights w = 2 r
     p = perturbed(NetworkConfig(), 3)
     ws = Workspace(p.shapes, row_count(grid.n, pin is not None))
-    y = forward_jet_batch(p, row_etas(grid, pin), ws=ws)
+    y = forward_jet_batch(p, grid.row_etas(pin is not None), ws=ws)
     _, want_loss, _ = loss_terms_reference(y, pin)
     w, seeds = row_weights_reference(y, pin)
     want_grad = backward_jet_batch(p, ws, seeds, w)
@@ -121,7 +117,7 @@ def test_loss_and_grad_bytes_match_the_term_by_term_loss(grid, pin):
 
 
 def rows_at(values, shapes, grid, pin):
-    y = forward_jet_batch(ParamVector(values, shapes), row_etas(grid, pin))
+    y = forward_jet_batch(ParamVector(values, shapes), grid.row_etas(pin is not None))
     return residual_rows(y, pin)[0]
 
 

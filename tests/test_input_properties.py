@@ -10,7 +10,7 @@ import os
 import shutil
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from blasius_pinn import cli
@@ -115,14 +115,18 @@ lines = st.lists(
 CHECKPOINT = init_params(NetworkConfig(depth=1, width=4))
 
 
-def files_under(root):
-    return sorted(os.path.relpath(os.path.join(d, f), root)
-                  for d, _, names in os.walk(root) for f in names)
+def entries_under(root):
+    """Every file and directory below root, a directory with a trailing /."""
+    return sorted(os.path.relpath(os.path.join(d, f), root) + end
+                  for d, dirs, names in os.walk(root)
+                  for entries, end in ((names, ""), (dirs, "/")) for f in entries)
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(MODES), lines, st.one_of(st.none(), st.integers(-1, 3)))
+# staging makes sub/ for the loss curve before the table's path fails
+@example("train", {"paths.curve_out": "sub/b.txt", "paths.csv_out": "missing/../c.csv"}, None)
 def test_cli_exits_0_2_3_or_4_and_a_failure_writes_nothing(tmp_path, mode, changed, seed):
     out = tempfile.mkdtemp(dir=tmp_path)
     try:
@@ -131,7 +135,7 @@ def test_cli_exits_0_2_3_or_4_and_a_failure_writes_nothing(tmp_path, mode, chang
             checkpoint = fh.read()
         with open(os.path.join(out, "run.cfg"), "w") as fh:
             fh.writelines(f"{k} = {v}\n" for k, v in {**TINY, **changed}.items())
-        before = files_under(out)
+        before = entries_under(out)
         argv = [mode, "--config", os.path.join(out, "run.cfg"), "--out", out]
         if seed is not None:
             argv += ["--seed", str(seed)]
@@ -144,7 +148,7 @@ def test_cli_exits_0_2_3_or_4_and_a_failure_writes_nothing(tmp_path, mode, chang
         else:
             errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
             assert len(errors) == 1 and not stdout.getvalue(), stderr.getvalue()
-            assert files_under(out) == before
+            assert entries_under(out) == before
             with open(os.path.join(out, "in.txt"), "rb") as fh:
                 assert fh.read() == checkpoint
     finally:

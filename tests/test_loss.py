@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from blasius_pinn.loss import (CollocationGrid, LossBreakdown, loss_terms, loss_total, residual,
-                               residual_rows, row_count, row_points)
+from blasius_pinn.loss import (CollocationGrid, LossBreakdown, loss_total, residual, residual_rows,
+                               row_count)
 from blasius_pinn.network import NetworkConfig, ParamVector, forward_jet_batch, init_params
 from loss_reference import loss_terms_reference, row_weights_reference
 
@@ -35,8 +35,8 @@ def test_grid_validation_and_spacing():
     assert g.points[0] == 0.0 and g.points[-1] == 8.0
     assert np.allclose(np.diff(g.points), (g.eta_m - g.eta0) / (g.n - 1))
     # computed once per grid and shared by every evaluation, so read-only
-    assert g.anchored_points is g.anchored_points
-    assert np.array_equal(g.anchored_points, np.r_[np.linspace(0.0, 8.0, 100), 0.0, 8.0])
+    assert g.points is g.points
+    assert np.array_equal(g.row_etas(False), np.r_[np.linspace(0.0, 8.0, 100), 0.0, 8.0, 0.0])
     with pytest.raises(ValueError):
         g.points[0] = 1.0
     with pytest.raises(ValueError):
@@ -120,18 +120,18 @@ def test_breakdown_total_property():
 
 @pytest.mark.parametrize("pin", [None, 0.33], ids=["unpinned", "pinned"])
 def test_loss_terms_bytes_match_the_term_by_term_reference(pin):
-    # loss_terms builds its breakdown from residual_rows, and 2 r * seeds is
+    # residual_rows builds its breakdown from its rows, and 2 r * seeds is
     # the adjoint at the rows' points; on random jets every byte is the one
     # the term-by-term formulas give
     rng = np.random.default_rng(21)
     for n in (2, 3, 17, 100, 257):
         for scale_ in (1e-3, 1.0, 1e3):
             y = scale_ * rng.normal(size=(4, row_count(n, pin is not None)))
-            r, seeds, bd = loss_terms(y, pin)
+            r, seeds, bd = residual_rows(y, pin)
             want_r, want_bd, want_ybar = loss_terms_reference(y, pin)
             assert r[:n].tobytes() == want_r.tobytes()
             # a structural zero of 2 r * seeds takes r's sign; + 0.0 clears
-            # it, as the zero-filled adjoint that loss_terms once summed into
+            # it, as the zero-filled adjoint that the loss terms once summed into
             assert (2.0 * r * seeds + 0.0).tobytes() == want_ybar.tobytes()
             # the gradient's reverse pass takes the seeds and 2 r apart
             want_w, want_seeds = row_weights_reference(y, pin)
@@ -147,11 +147,11 @@ def test_loss_terms_bytes_match_the_term_by_term_reference(pin):
 def test_residual_rows_square_to_the_loss_terms(pin):
     n = 10
     y = np.random.default_rng(5).normal(size=(4, row_count(n, pin is not None)))
-    r, seeds = residual_rows(y, pin)
+    r, seeds, bd = residual_rows(y, pin)
     assert r.shape == (n + 3 + (pin is not None),) and seeds.shape == (4, r.size)
-    at = row_points(n, pin is not None)
-    assert at.tolist() == list(range(n + 2)) + [n] * (r.size - n - 2)
-    _, _, bd = loss_terms(y, pin)
+    grid = CollocationGrid(-1.0, 8.0, n)
+    at = grid.row_etas(pin is not None)
+    assert at.tolist() == grid.points.tolist() + [0.0, 8.0] + [0.0] * (r.size - n - 2)
     assert np.sum(r * r) == pytest.approx(bd.total, rel=1e-14)
     # row k reads the jet at point k only, and seeds[:, k] is its derivative
     # there: a bump of one channel at one point moves that point's row alone

@@ -245,15 +245,12 @@ def test_default_training_converges_near_the_oracle_on_seeds_0_to_4(trained_runs
 
 
 def linear_rows(A, b):
-    """r(x) = A x - b as (f_and_grad, rows, probe) for lm_minimize."""
-    def f_and_grad(x):
+    """r(x) = A x - b as (evaluate, probe) for lm_minimize."""
+    def evaluate(x):
         r = A @ x - b
-        return float(r @ r), 2.0 * A.T @ r
+        return float(r @ r), 2.0 * A.T @ r, lambda: (r, A @ A.T, lambda w: A.T @ w)
 
-    def rows(x):
-        return A @ x - b, A @ A.T, lambda w: A.T @ w
-
-    return f_and_grad, rows, lambda x: A @ x - b
+    return evaluate, lambda x: A @ x - b
 
 
 @pytest.mark.parametrize("m,n", [(12, 5), (5, 12), (30, 30)],
@@ -262,8 +259,8 @@ def test_lm_solves_a_consistent_linear_least_squares_problem(m, n):
     rng = np.random.default_rng(m * n)
     A = rng.normal(size=(m, n))
     x_star = rng.normal(size=n)
-    f_and_grad, rows, probe = linear_rows(A, A @ x_star)
-    res = lm_minimize(f_and_grad, rows, probe, np.zeros(n), LbfgsConfig(max_iters=200, grad_tol=1e-13))
+    evaluate, probe = linear_rows(A, A @ x_star)
+    res = lm_minimize(evaluate, probe, np.zeros(n), LbfgsConfig(max_iters=200, grad_tol=1e-13))
     assert res.status in ("converged", "stalled")
     assert np.max(np.abs(A @ res.x - A @ x_star)) <= 1e-12
     if m >= n:
@@ -273,25 +270,22 @@ def test_lm_solves_a_consistent_linear_least_squares_problem(m, n):
 
 
 def rosenbrock_rows():
-    """Rosenbrock as the rows (10 (x1 - x0^2), 1 - x0): (f_and_grad, rows,
-    probe) for lm_minimize."""
+    """Rosenbrock as the rows (10 (x1 - x0^2), 1 - x0): (evaluate, probe)
+    for lm_minimize."""
     def probe(x):
         return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
-    def rows(x):
+    def evaluate(x):
+        r = probe(x)
         jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-        return probe(x), jac @ jac.T, lambda w: jac.T @ w
+        return float(r @ r), 2.0 * (jac.T @ r), lambda: (r, jac @ jac.T, lambda w: jac.T @ w)
 
-    def f_and_grad(x):
-        r, _, jt = rows(x)
-        return float(r @ r), 2.0 * jt(r)
-
-    return f_and_grad, rows, probe
+    return evaluate, probe
 
 
 def test_lm_rosenbrock_rows():
-    f_and_grad, rows, probe = rosenbrock_rows()
-    res = lm_minimize(f_and_grad, rows, probe, np.array([-1.2, 1.0]), LbfgsConfig(grad_tol=1e-12))
+    evaluate, probe = rosenbrock_rows()
+    res = lm_minimize(evaluate, probe, np.array([-1.2, 1.0]), LbfgsConfig(grad_tol=1e-12))
     assert res.status == "converged"
     np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-12)
 
@@ -302,29 +296,29 @@ def test_lm_stalls_at_its_start_when_no_step_lowers_the_loss():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(6, 4))
     b = rng.normal(size=6)
-    f_and_grad, _, probe = linear_rows(A, b)
+    evaluate, probe = linear_rows(A, b)
     x0 = rng.normal(size=4)
     calls = []
 
     def counted(x):
         calls.append(x)
-        return f_and_grad(x)
+        f, g, _ = evaluate(x)
+        return f, g, lambda: (A @ x - b, A @ A.T, lambda w: -A.T @ w)
 
-    res = lm_minimize(counted, lambda x: (A @ x - b, A @ A.T, lambda w: -A.T @ w), probe, x0,
-                      LbfgsConfig())
+    res = lm_minimize(counted, probe, x0, LbfgsConfig())
     assert res.status == "stalled"
     assert res.history == []
-    assert np.array_equal(res.x, x0) and res.fval == f_and_grad(x0)[0]
+    assert np.array_equal(res.x, x0) and res.fval == evaluate(x0)[0]
     assert res.n_evals == len(calls) and 2 < len(calls) < 40
 
 
 def test_lm_converged_and_max_iters_statuses():
     A = np.eye(3)
-    f_and_grad, rows, probe = linear_rows(A, np.ones(3))
+    evaluate, probe = linear_rows(A, np.ones(3))
     # already at the minimum: no Jacobian is formed
-    res = lm_minimize(f_and_grad, None, None, np.ones(3), LbfgsConfig(grad_tol=0.0))
+    res = lm_minimize(evaluate, None, np.ones(3), LbfgsConfig(grad_tol=0.0))
     assert res.status == "converged" and res.n_evals == 1 and res.history == []
-    res = lm_minimize(f_and_grad, rows, probe, np.zeros(3), LbfgsConfig(max_iters=2, grad_tol=0.0))
+    res = lm_minimize(evaluate, probe, np.zeros(3), LbfgsConfig(max_iters=2, grad_tol=0.0))
     assert res.status == "max_iters" and [h[0] for h in res.history] == [1, 2]
     assert res.fval < 3.0
 
@@ -333,9 +327,9 @@ def test_lm_converged_when_its_last_step_meets_grad_tol():
     # one step from 0 takes max|g| from 5 to 0.0118, under grad_tol = 1: the
     # run must say so even though that step used up max_iters
     A = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    f_and_grad, rows, probe = linear_rows(A, np.array([1.0, 2.0, 0.5]))
+    evaluate, probe = linear_rows(A, np.array([1.0, 2.0, 0.5]))
     for max_iters in (1, 2):
-        res = lm_minimize(f_and_grad, rows, probe, np.zeros(2),
+        res = lm_minimize(evaluate, probe, np.zeros(2),
                           LbfgsConfig(max_iters=max_iters, grad_tol=1.0))
         assert res.status == "converged" and len(res.history) == 1
         assert 0.01 < res.history[0][2] <= 1.0
@@ -378,10 +372,10 @@ def plain_lm(monkeypatch, *args):
         return lm_minimize(*args)
 
 
-def recording(f_and_grad, points):
+def recording(evaluate, points):
     def recorded(x):
         points.append(x.copy())
-        return f_and_grad(x)
+        return evaluate(x)
     return recorded
 
 
@@ -389,7 +383,7 @@ def recording(f_and_grad, points):
 def test_lm_acceleration_vanishes_on_linear_rows(monkeypatch, m, n):
     rng = np.random.default_rng(m + n)
     A = rng.normal(size=(m, n))
-    f_and_grad, rows, probe = linear_rows(A, rng.normal(size=m))
+    evaluate, probe = linear_rows(A, rng.normal(size=m))
     x = rng.normal(size=n)
     v = rng.normal(size=n)
     r_vv = optim._rows_curvature(probe, x, probe(x), v, A @ v)
@@ -397,8 +391,8 @@ def test_lm_acceleration_vanishes_on_linear_rows(monkeypatch, m, n):
     # a few steps, while f is still far above its minimum's rounding
     cfg = LbfgsConfig(max_iters=3, grad_tol=0.0)
     accelerated, plain = [], []
-    lm_minimize(recording(f_and_grad, accelerated), rows, probe, np.zeros(n), cfg)
-    plain_lm(monkeypatch, recording(f_and_grad, plain), rows, probe, np.zeros(n), cfg)
+    lm_minimize(recording(evaluate, accelerated), probe, np.zeros(n), cfg)
+    plain_lm(monkeypatch, recording(evaluate, plain), probe, np.zeros(n), cfg)
     assert len(accelerated) == len(plain) == 4
     # what is left of a is rounding, times 2/h^2 = 200 and (G + lam I)^-1
     np.testing.assert_allclose(accelerated, plain, rtol=0, atol=1e-10)
@@ -408,17 +402,66 @@ def test_lm_acceleration_vanishes_on_linear_rows(monkeypatch, m, n):
 def test_lm_takes_the_velocity_when_the_probe_fails(monkeypatch, value):
     # rows the probe could not evaluate, or rows so far out that the finite
     # difference overflows, leave the plain step: no exception, no warning
-    f_and_grad, rows, probe = rosenbrock_rows()
+    evaluate, probe = rosenbrock_rows()
     cfg = LbfgsConfig(max_iters=30, grad_tol=0.0)
     x0 = np.array([-1.2, 1.0])
     failed, plain, accelerated = [], [], []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = lm_minimize(recording(f_and_grad, failed), rows, lambda x: np.full(2, value), x0, cfg)
-    plain_lm(monkeypatch, recording(f_and_grad, plain), rows, probe, x0, cfg)
-    lm_minimize(recording(f_and_grad, accelerated), rows, probe, x0, cfg)
+        res = lm_minimize(recording(evaluate, failed), lambda x: np.full(2, value), x0, cfg)
+    plain_lm(monkeypatch, recording(evaluate, plain), probe, x0, cfg)
+    lm_minimize(recording(evaluate, accelerated), probe, x0, cfg)
     assert res.history and np.array_equal(failed, plain)
     assert not np.array_equal(accelerated[:len(plain)], plain[:len(accelerated)])
+
+
+def guarded(evaluate, probe, read_at):
+    """evaluate and probe for lm_minimize whose rows() fails once any
+    evaluate or probe has run after the evaluation that made it, as when
+    they share one workspace; read_at gets the point of each rows() call."""
+    calls = 0
+
+    def guarded_evaluate(x):
+        nonlocal calls
+        calls += 1
+        made = calls
+        f, g, rows = evaluate(x)
+
+        def checked():
+            assert calls == made, "rows() read after a later evaluate or probe"
+            read_at.append(x.copy())
+            return rows()
+
+        return f, g, checked
+
+    def guarded_probe(x):
+        nonlocal calls
+        calls += 1
+        return probe(x)
+
+    return guarded_evaluate, guarded_probe
+
+
+@pytest.mark.parametrize("problem", ["linear", "rosenbrock"])
+def test_lm_reads_each_points_rows_before_any_later_evaluation(problem):
+    # the rows of a point are read once, at the top of the iteration that
+    # steps from it, before that iteration's probe or trial evaluation
+    if problem == "linear":
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(8, 5))
+        evaluate, probe = linear_rows(A, rng.normal(size=8))
+        x0, cfg = np.zeros(5), LbfgsConfig(max_iters=50, grad_tol=1e-13)
+    else:
+        evaluate, probe = rosenbrock_rows()
+        x0, cfg = np.array([-1.2, 1.0]), LbfgsConfig(grad_tol=1e-12)
+    unguarded, checked, read_at = [], [], []
+    want = lm_minimize(recording(evaluate, unguarded), probe, x0, cfg)
+    got = lm_minimize(*guarded(recording(evaluate, checked), probe, read_at), x0, cfg)
+    assert len(got.history) > 3
+    assert np.array_equal(checked, unguarded) and got.history == want.history
+    assert np.array_equal(got.x, want.x) and got.status == want.status
+    assert len(read_at) == len(got.history) + (got.status == "stalled")
+    assert np.array_equal(read_at[0], x0)
 
 
 def test_train_refines_through_optim_loss_and_grad(monkeypatch):
@@ -488,6 +531,18 @@ def test_train_runs_one_reverse_pass_per_loss_evaluation(monkeypatch):
     assert rep.adam_steps == 40 and rep.lbfgs_history
     assert counts["loss"] > 40 + len(rep.lbfgs_history)
     assert counts["backward"] == cfg.depth * counts["loss"]
+
+
+def test_train_forms_g_only_at_points_it_steps_from(monkeypatch):
+    # G is formed at Adam's best point and at each accepted point that the
+    # refinement steps from, and at no rejected trial
+    counts = {"gram": 0}
+    count_calls(monkeypatch, counts, "gram", optim, "row_gram")
+    _, rep = train(NetworkConfig(depth=2, width=8, seed=0),
+                   AdamConfig(max_steps=40, switch_tol=1e-12),
+                   LbfgsConfig(max_iters=25), CollocationGrid(0.0, 8.0, 20))
+    assert rep.adam_steps == 40 and rep.lbfgs_history
+    assert counts["gram"] == len(rep.lbfgs_history) + (rep.lbfgs_status == "stalled")
 
 
 def test_refinement_never_holds_an_array_the_size_of_the_jacobian():
