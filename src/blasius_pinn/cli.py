@@ -51,12 +51,16 @@ def _atomic(path, write_fn):
 
 def _make_parents(path, made: list) -> None:
     """Make the missing directories above `path`, shallowest first, and
-    append each to `made` once it is made."""
+    append to `made` each one that this call made; a directory that another
+    process makes in between is left to it."""
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.exists(parent):
         _make_parents(parent, made)
-        os.mkdir(parent)
-        made.append(parent)
+        try:
+            os.mkdir(parent)
+            made.append(parent)
+        except FileExistsError:
+            pass
 
 
 def _check_targets(paths, source: str) -> None:

@@ -704,6 +704,23 @@ class TestCliErrors:
         assert sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*")) == [
             "out", os.path.join("out", "kept"), "run.cfg"]
 
+    def test_a_directory_made_by_another_run_in_between_is_not_this_runs(
+            self, tmp_path, monkeypatch):
+        # another run makes `shared` after this run saw it missing: this run
+        # goes on, and records only the directory that it made itself
+        shared = str(tmp_path / "shared")
+        mkdir = os.mkdir
+
+        def racing_mkdir(path, *args):
+            if path == shared:
+                mkdir(path)
+            mkdir(path, *args)
+
+        monkeypatch.setattr(cli.os, "mkdir", racing_mkdir)
+        made = []
+        cli._make_parents(os.path.join(shared, "s0", "x.csv"), made)
+        assert made == [os.path.join(shared, "s0")]
+
     def test_failed_run_leaves_no_partial_files(self, tmp_path, capsys):
         # atomic writes: a failing run must not leave temp or partial outputs
         cfg = write_cfg(tmp_path, "network.depth = -1\n")

@@ -316,7 +316,8 @@ def test_lm_converged_and_max_iters_statuses():
     A = np.eye(3)
     evaluate, probe = linear_rows(A, np.ones(3))
     # already at the minimum: no Jacobian is formed
-    res = lm_minimize(evaluate, None, np.ones(3), LbfgsConfig(grad_tol=0.0))
+    res = lm_minimize(lambda x: evaluate(x)[:2] + (None,), None, np.ones(3),
+                      LbfgsConfig(grad_tol=0.0))
     assert res.status == "converged" and res.n_evals == 1 and res.history == []
     res = lm_minimize(evaluate, probe, np.zeros(3), LbfgsConfig(max_iters=2, grad_tol=0.0))
     assert res.status == "max_iters" and [h[0] for h in res.history] == [1, 2]
