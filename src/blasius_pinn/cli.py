@@ -133,12 +133,16 @@ def _table_files(paths: PathsSpec, table: SolutionTable, title: str) -> dict:
 def _cmd_train(cfg: RunConfig, _) -> tuple[dict, str]:
     p, report = train(cfg.network, cfg.adam, cfg.lbfgs, cfg.grid)
     table = tabulate(p, cfg.grid.points)
+    # a Blasius profile has f'' > 0 everywhere: a run that ends with
+    # f''(eta0) <= 0 found some other state, and says so without failing
+    fpp0 = float(table.fpp[0])
+    profile = "blasius" if fpp0 > 0.0 else "not_blasius"
     losses = [(f"loss_{k}", getattr(report.final, k))
               for k in ("ode", "init", "boundary", "pin", "total")]
     fields = [("seed", report.seed), ("adam_steps", report.adam_steps),
               ("lbfgs_iters", len(report.lbfgs_history)), ("lbfgs_status", report.lbfgs_status),
               *losses, ("best_loss", report.best_loss),
-              ("wall_time_s", f"{report.wall_time_s:.3f}")]
+              ("wall_time_s", f"{report.wall_time_s:.3f}"), ("fpp0", fpp0), ("profile", profile)]
     curve = [(f"adam,{i}", f) for i, f in enumerate(report.adam_curve)]
     curve += [(f"lbfgs,{it}", f) for it, f, _, _ in report.lbfgs_history]
     files = {
@@ -148,7 +152,7 @@ def _cmd_train(cfg: RunConfig, _) -> tuple[dict, str]:
         **_table_files(cfg.paths, table, "PINN solution"),
     }
     return files, (f"ok mode=train loss_total={report.final.total:.6g} "
-                   f"lbfgs_status={report.lbfgs_status} seed={cfg.network.seed}")
+                   f"lbfgs_status={report.lbfgs_status} profile={profile} seed={cfg.network.seed}")
 
 
 def _cmd_solve_oracle(cfg: RunConfig, _) -> tuple[dict, str]:

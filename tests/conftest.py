@@ -67,6 +67,14 @@ def trained_runs():
 
 
 @pytest.fixture(scope="session")
+def trained_deep():
+    """Criterion 9's depth-4, width-90 network, trained with the default
+    configs at seed 0: (params, report)."""
+    return train(NetworkConfig(depth=4, width=90, seed=0), AdamConfig(), LbfgsConfig(),
+                 DEFAULT_GRID)
+
+
+@pytest.fixture(scope="session")
 def trained_default(trained_runs):
     """Default architecture trained with seed 0: (params, report)."""
     return trained_runs(0)

@@ -19,7 +19,7 @@ from blasius_pinn.cli import main as cli_main
 from blasius_pinn.grad import loss_and_grad
 from blasius_pinn.loss import CollocationGrid, loss_total
 from blasius_pinn.network import NetworkConfig, ParamVector, forward_jet_batch, init_params
-from blasius_pinn.optim import AdamConfig, LbfgsConfig, train
+from blasius_pinn.optim import AdamConfig, LbfgsConfig
 from blasius_pinn.oracle import backward_blowup
 from fd_oracle import fd_gradient_coords, grad_close
 from oracle_reference import order_slope
@@ -191,10 +191,9 @@ def test_criterion_08b_singularity_pinn_onset(trained_default, shoot_result):
     assert ok
 
 
-def test_criterion_09_architecture_trend(trained_runs):
+def test_criterion_09_architecture_trend(trained_runs, trained_deep):
     _, rep_a = trained_runs(0)
-    _, rep_b = train(NetworkConfig(depth=4, width=90, seed=0),
-                     AdamConfig(), LbfgsConfig(), GRID)
+    _, rep_b = trained_deep
     ok = rep_a.best_loss < rep_b.best_loss
     report("9", "architecture trend", ok,
            f"loss(d2,w100)={rep_a.best_loss:.2e} < loss(d4,w90)={rep_b.best_loss:.2e}: {ok}")

@@ -315,10 +315,13 @@ class TestCliModes:
         report = [line.split(": ") for line in (tmp_path / "report.txt").read_text().splitlines()]
         assert [key for key, _ in report] == [
             "seed", "adam_steps", "lbfgs_iters", "lbfgs_status", "loss_ode", "loss_init",
-            "loss_boundary", "loss_pin", "loss_total", "best_loss", "wall_time_s"]
+            "loss_boundary", "loss_pin", "loss_total", "best_loss", "wall_time_s",
+            "fpp0", "profile"]
         fields = dict(report)
         assert fields["seed"] == "0" and fields["lbfgs_status"].isidentifier()
-        for key in ("loss_ode", "loss_init", "loss_boundary", "loss_pin", "loss_total", "best_loss"):
+        assert fields["profile"] == ("blasius" if float(fields["fpp0"]) > 0.0 else "not_blasius")
+        for key in ("loss_ode", "loss_init", "loss_boundary", "loss_pin", "loss_total", "best_loss",
+                    "fpp0"):
             self.assert_g17(fields[key])
         assert re.fullmatch(r"\d+\.\d{3}", fields["wall_time_s"])
         curve = (tmp_path / "loss_curve.csv").read_text().splitlines()
@@ -330,6 +333,28 @@ class TestCliModes:
                                              [["lbfgs", str(i)] for i in range(1, lbfgs + 1)])
         for row in rows:
             self.assert_g17(row[2])
+
+    @pytest.mark.parametrize("sign,profile", [(1.0, "blasius"), (-1.0, "not_blasius")])
+    def test_train_reports_whether_its_profile_is_blasius(self, tmp_path, capsys, monkeypatch,
+                                                          trained_default, sign, profile):
+        # a trained network's checkpoint, its output layer scaled by sign:
+        # negated, its f''(0) < 0 is no Blasius profile.  train still exits 0
+        # and says so in the report and the ok line; no training runs here
+        p, rep = trained_default
+        save_checkpoint(tmp_path / "trained.txt", NetworkConfig(), p)
+        _, q = load_checkpoint(tmp_path / "trained.txt")
+        *_, (w, b) = q.layers()
+        w *= sign
+        b *= sign
+        monkeypatch.setattr(cli, "train", lambda *args: (q, rep))
+        assert main(["train", "--out", str(tmp_path / "run")]) == 0
+        out = capsys.readouterr().out
+        assert f" profile={profile} seed=0\n" in out
+        report = (tmp_path / "run" / "report.txt").read_text().splitlines()
+        fields = dict(line.split(": ") for line in report)
+        assert fields["profile"] == profile
+        table = read_solution_csv(tmp_path / "run" / "solution.csv")
+        assert float(fields["fpp0"]) == table.fpp[0] and np.sign(table.fpp[0]) == sign
 
     def test_compare_csv_format(self, tmp_path, capsys):
         assert main(["train", "--config", write_cfg(tmp_path, FAST_TRAIN), "--out", str(tmp_path)]) == 0

@@ -7,7 +7,7 @@ import pytest
 
 from blasius_pinn import grad, kernels, optim
 from blasius_pinn.loss import CollocationGrid
-from blasius_pinn.network import NetworkConfig
+from blasius_pinn.network import NetworkConfig, init_params
 from blasius_pinn.optim import (
     WOLFE_C1,
     AdamConfig,
@@ -220,6 +220,35 @@ def test_train_is_deterministic():
     p2, r2 = train(*args)
     assert np.array_equal(p1.values, p2.values)
     assert r1.best_loss == r2.best_loss
+
+
+def test_default_train_starts_lm_at_init_params(monkeypatch):
+    # by default no Adam step runs: the refinement's first evaluation is at
+    # the initial parameters, byte for byte
+    cfg = NetworkConfig(depth=1, width=8, seed=0)
+    at = []
+    loss_and_grad = optim.loss_and_grad
+
+    def recorded(p, *args, **kwargs):
+        at.append(p.values.tobytes())
+        return loss_and_grad(p, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("train took an Adam step")
+
+    monkeypatch.setattr(optim, "loss_and_grad", recorded)
+    monkeypatch.setattr(optim, "adam_step", forbidden)
+    _, rep = train(cfg, AdamConfig(), LbfgsConfig(max_iters=3), CollocationGrid(0.0, 8.0, 20))
+    assert rep.adam_steps == 0 and rep.adam_curve == [] and len(rep.lbfgs_history) == 3
+    assert at[0] == init_params(cfg).values.tobytes()
+
+
+def test_deep_network_reaches_the_blasius_branch(trained_deep, shoot_result):
+    # criterion 9's depth-4, width-90 network: Adam first led it to loss
+    # 7.09e-2 at f''(0) = -0.0122, a state that is not a Blasius profile
+    p, _ = trained_deep
+    fpp0 = float(grad.forward_jet_batch(p, np.array([0.0]))[2, 0])
+    assert abs(fpp0 - shoot_result.s_star) <= 1e-6, fpp0
 
 
 def test_train_default_reaches_deep_minimum(trained_default):
