@@ -6,7 +6,9 @@ Layout convention: jets are stored channel-first as float64 arrays of shape
 writes its result into `out` and its intermediates into a few rows of
 `scratch` rather than one temporary per subexpression, and forms powers by
 repeated products.  A caller that reuses both buffers across calls
-allocates nothing.
+allocates nothing.  The network's input enters as the jet (eta, 1, 0, 0),
+so every hidden layer, the first included, passes all four channels through
+both kernels.
 """
 
 import numpy as np
@@ -67,11 +69,9 @@ def tanh_jet_backward(t, z, abar, *, out, scratch):
         zbar2 = a2 s1 + 3 a3 p
         zbar1 = a1 s1 + 2 a2 p + 3 a3 c
         zbar0 = a0 s1 + a1 p + a2 c + a3 (u1 (s4 u1^2 + 3 s3 u2) + s2 u3)
-    `out` receives zbar and `scratch` (at least 7N floats) the
-    intermediates.  An `out` of shape (2, N) receives zbar0 and zbar1 only:
-    the first layer's input jet (eta, 1, 0, 0) has no d2 or d3 channel to
-    take the other two.  `out` may be z[:2] or z itself: z[1..3] are all read
-    before the first write to out, and z[0] is never read.
+    `out` (4, N) receives zbar and `scratch` (at least 7N floats) the
+    intermediates.  `out` may be z itself: z[1..3] are all read before the
+    first write to out, and z[0] is never read.
     """
     u1, u2, u3 = z[1], z[2], z[3]
     a0, a1, a2, a3 = abar
@@ -100,11 +100,10 @@ def tanh_jet_backward(t, z, abar, *, out, scratch):
     w += x
     w *= a3                                     # a3 (u1 (s4 u1^2 + 3 s3 u2) + s2 u3)
     np.multiply(a3, 3.0, out=s3)                # 3 a3; s3 is no longer needed
-    if len(out) == 4:
-        np.multiply(a3, s1, out=out[3])
-        np.multiply(a2, s1, out=out[2])
-        np.multiply(s3, p, out=x)
-        out[2] += x
+    np.multiply(a3, s1, out=out[3])
+    np.multiply(a2, s1, out=out[2])
+    np.multiply(s3, p, out=x)
+    out[2] += x
     np.multiply(a1, s1, out=out[1])
     np.multiply(a2, p, out=x)
     x *= 2.0

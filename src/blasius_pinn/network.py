@@ -1,9 +1,10 @@
 """Scalar-in, scalar-out fully connected network evaluated in jet arithmetic.
 
 One forward pass over a batch of eta values yields f and its first three
-eta-derivatives at each of them.  Hidden layers use tanh; the output layer
-is purely affine so the network can represent the linear far-field growth
-of the Blasius function.
+eta-derivatives at each of them: the input enters as the jet (eta, 1, 0, 0),
+and every layer maps its input jet by the same code, forward and in reverse.
+Hidden layers use tanh; the output layer is purely affine so the network
+can represent the linear far-field growth of the Blasius function.
 """
 
 from __future__ import annotations
@@ -107,11 +108,12 @@ class Workspace:
     """The jet buffers of forward_jet_batch and backward_jet_batch for one
     network's layer shapes and at most `n` points per call.
 
-    It holds the input etas, every layer's pre-activation jets z (the
-    reverse pass writes the hidden layers' adjoints over them), every hidden
-    layer's tanh jets, the kernels' scratch rows and one adjoint jet.
-    Buffers are flat and are viewed at each call's point count, so a
-    shorter batch (the last block of a tabulation) uses the front of each.
+    It holds the input jets x = (eta, 1, 0, 0), every layer's pre-activation
+    jets z (the reverse pass writes the hidden layers' adjoints over them),
+    every hidden layer's tanh jets, the kernels' scratch rows and one
+    adjoint jet.  Buffers are flat and are viewed at each call's point
+    count, so a shorter batch (the last block of a tabulation) uses the
+    front of each.
 
     The caller owns a workspace and reuses it: each call overwrites what the
     previous call wrote, and no jet buffer is allocated after construction.
@@ -121,7 +123,7 @@ class Workspace:
         self.shapes = [tuple(s) for s in shapes]
         self.n = n
         hidden = max((fo for _, fo in self.shapes[:-1]), default=0)
-        self.eta = np.empty(n)
+        self.x = np.empty(4 * n)
         self.z = [np.empty(4 * n * fo) for _, fo in self.shapes]
         self.act = [np.empty(4 * n * fo) for _, fo in self.shapes[:-1]]
         self.scratch = np.empty(7 * n * hidden)
@@ -135,11 +137,11 @@ class Workspace:
 
 def workspace_bytes(cfg: NetworkConfig, n: float) -> float:
     """Bytes of a Workspace for cfg's layer shapes at n points, in closed
-    form.  Per point it holds the input eta, four channels of every layer's
-    z and of every hidden layer's tanh jet, and 7 scratch rows plus a
-    4-channel adjoint of the widest hidden layer."""
+    form.  Per point it holds four channels of the input jet, of every
+    layer's z and of every hidden layer's tanh jet, and 7 scratch rows plus
+    a 4-channel adjoint of the widest hidden layer."""
     dw = cfg.depth * cfg.width
-    return 8 * n * (1 + 4 * (dw + 1) + 4 * dw + 11 * cfg.width)
+    return 8 * n * (4 + 4 * (dw + 1) + 4 * dw + 11 * cfg.width)
 
 
 def check_workspace(cfg: NetworkConfig, n: float, held: float = 0.0) -> None:
@@ -154,44 +156,49 @@ def check_workspace(cfg: NetworkConfig, n: float, held: float = 0.0) -> None:
                          f"{MAX_WORKSPACE_BYTES / 2 ** 30:g} GiB is allowed")
 
 
+def _product(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ w over the 4 m stacked channel rows of a jet a (4, m, k), into
+    `out` (4, m, j).  With k = 1 (a fan-in of 1 forward, a fan-out of 1 in
+    reverse) each row scales w's one row: not a GEMM, and einsum forms it
+    in about half the time of a broadcast np.multiply."""
+    if w.shape[0] == 1:
+        return np.einsum("cmk,kj->cmj", a, w, out=out)
+    np.matmul(a.reshape(-1, w.shape[0]), w, out=out.reshape(-1, w.shape[1]))
+    return out
+
+
 def forward_jet_batch(p: ParamVector, etas: np.ndarray, *, ws: Workspace | None = None):
     """Vectorized jet forward pass over many eta values.
 
-    Returns y of shape (4, n): rows are (f, f', f'', f''').  Every
-    intermediate is written into `ws`, where backward_jet_batch reads it;
-    without one a temporary workspace is used.  The returned y is a view
-    into the workspace, valid only until the next call with the same `ws`.
+    Returns y of shape (4, n): rows are (f, f', f'', f''').  The input
+    enters as the jet (eta, 1, 0, 0), and every layer maps its input jet
+    alike.  Every intermediate is written into `ws`, where
+    backward_jet_batch reads it; without one a temporary workspace is used.
+    The returned y is a view into the workspace, valid only until the next
+    call with the same `ws`.
     """
     etas = np.asarray(etas, dtype=np.float64).ravel()
     n = etas.size
     if ws is None:
         ws = Workspace(p.shapes, n)
     ws.check(p, n)
-    eta = ws.eta[:n]
-    np.copyto(eta, etas)
+    a = _jet(ws.x, 4, n, 1)
+    np.copyto(a[0, :, 0], etas)
+    a[1] = 1.0
+    a[2:] = 0.0
     layers = list(p.layers())
-    a = eta
-    for li, (w, b) in enumerate(layers):
-        fo = w.shape[0]
-        z = _jet(ws.z[li], 4, n, fo)
-        if li == 0:
-            # the input jet is (eta, 1, 0, 0): the affine is an outer product
-            # and channels d2, d3 stay zero
-            np.multiply.outer(eta, w[:, 0], out=z[0])
-            z[1] = w[:, 0]
-            z[2:] = 0.0
-        else:
-            # all four channels share the weights
-            np.matmul(a.reshape(4 * n, -1), w.T, out=z.reshape(4 * n, fo))
-        # the bias enters the value channel only (it is a constant jet)
+    # each layer's jet is w a + b, with the bias in the value channel only
+    # (it is a constant jet); tanh follows each hidden layer, and ws.act has
+    # one buffer for each
+    for (w, b), zbuf, abuf in zip(layers, ws.z, ws.act):
+        z = _product(a, w.T, _jet(zbuf, 4, n, w.shape[0]))
         z[0] += b
-        if li < len(layers) - 1:
-            a = _jet(ws.act[li], 4, n, fo)
-            kernels.tanh_jet_forward(z.reshape(4, n * fo), out=a.reshape(4, n * fo),
-                                     scratch=ws.scratch)
-        else:
-            a = z
-    return a[:, :, 0]
+        a = _jet(abuf, 4, n, w.shape[0])
+        kernels.tanh_jet_forward(z.reshape(4, -1), out=a.reshape(4, -1), scratch=ws.scratch)
+    w, b = layers[-1]
+    y = _product(a, w.T, _jet(ws.z[-1], 4, n, 1))[:, :, 0]
+    y[0] += b
+    return y
 
 
 def backward_jet_batch(p: ParamVector, ws: Workspace, seeds: np.ndarray,
@@ -200,47 +207,36 @@ def backward_jet_batch(p: ParamVector, ws: Workspace, seeds: np.ndarray,
     pass at p that `ws` holds.
 
     Row k of J is d(sum(seeds[:, k] * y[:, k]))/d(params) at the k-th of
-    the m = seeds.shape[1] points.  Each hidden layer's per-row adjoint
-    (channels 0 and 1 only at layer 0) is written over its pre-activation
-    jet in ws.z, where row_gram reads it; the output jet is left as it is.
-    J'w is a fresh array.
+    the m = seeds.shape[1] points.  Each hidden layer's per-row adjoint is
+    written over its pre-activation jet in ws.z, where row_gram reads it;
+    the output jet is left as it is.  J'w is a fresh array.
     """
     m = seeds.shape[1]
     zbar = seeds.reshape(4, m, 1)
     for li, (weight, _) in reversed(list(enumerate(p.layers()))[1:]):
-        fo, fi = weight.shape
-        abar = _jet(ws.abar, 4, m, fi)
-        # with one output (the last layer) the product is an outer product
-        if fo == 1:
-            np.multiply(zbar, weight[0], out=abar)
-        else:
-            np.matmul(zbar.reshape(4 * m, fo), weight, out=abar.reshape(4 * m, fi))
+        fi = weight.shape[1]
+        abar = _product(zbar, weight, _jet(ws.abar, 4, m, fi))
         # the kernel reads z in full before it writes the adjoint over it
-        z = _jet(ws.z[li - 1], 4, m, fi)
-        zbar = z[: 2 if li == 1 else 4]
-        kernels.tanh_jet_backward(ws.act[li - 1][: m * fi], z.reshape(4, -1), abar.reshape(4, -1),
-                                  out=zbar.reshape(len(zbar), -1), scratch=ws.scratch)
+        zbar = _jet(ws.z[li - 1], 4, m, fi)
+        kernels.tanh_jet_backward(ws.act[li - 1][: m * fi], zbar.reshape(4, -1),
+                                  abar.reshape(4, -1), out=zbar.reshape(4, -1), scratch=ws.scratch)
     return _jt(p, _factors(p, ws, seeds), w, ws.abar)
 
 
 def _factors(p: ParamVector, ws: Workspace, seeds: np.ndarray):
-    """Each layer's per-row adjoint (rows, m, fo) and input jet (4, m, fi)
-    after backward_jet_batch.  Layer 0's input jet is (eta, 1, 0, 0): there
-    they are the adjoint's channels 0 and 1 and the etas (m,).  The last
-    layer's adjoint is the seeds."""
+    """Each layer's per-row adjoint (4, m, fo) and input jet (4, m, fi)
+    after backward_jet_batch; the last layer's adjoint is the seeds."""
     m = seeds.shape[1]
-    yield _jet(ws.z[0], 2, m, p.shapes[0][1]), ws.eta[:m]
-    for li, (fi, fo) in enumerate(p.shapes[1:], 1):
-        zbar = seeds.reshape(4, m, 1) if li == len(p.shapes) - 1 else _jet(ws.z[li], 4, m, fo)
-        yield zbar, _jet(ws.act[li - 1], 4, m, fi)
+    zbars = [_jet(z, 4, m, fo) for z, (_, fo) in zip(ws.z, p.shapes[:-1])]
+    ins = [_jet(a, 4, m, fi) for a, (fi, _) in zip([ws.x, *ws.act], p.shapes)]
+    return zip(zbars + [seeds.reshape(4, m, 1)], ins)
 
 
 def _jt(p: ParamVector, factors, w: np.ndarray, scratch: np.ndarray):
     """J'w in ParamVector's layout from each layer's factors (z, a): w'z_0
     for the biases and (w * z)' a over the 4 m stacked channel rows for the
-    weights, with w * z formed in `scratch`; at layer 0, whose a is the
-    etas, (w * eta)'z_0 + w'z_1.  A layer whose a is None holds its m rows
-    of J in z."""
+    weights, with w * z formed in `scratch`.  A layer whose a is None holds
+    its m rows of J in z."""
     flat = np.empty(len(p))
     off = 0
     for (fi, fo), (z, a) in zip(p.shapes, factors):
@@ -251,11 +247,8 @@ def _jt(p: ParamVector, factors, w: np.ndarray, scratch: np.ndarray):
             continue
         wbar, bbar = out[: fi * fo].reshape(fo, fi), out[fi * fo :]
         np.matmul(w, z[0], out=bbar)
-        if a.ndim == 1:
-            np.add(np.matmul(w * a, z[0]), np.matmul(w, z[1]), out=wbar[:, 0])
-        else:
-            wz = np.multiply(z, w[:, None], out=_jet(scratch, *z.shape))
-            np.matmul(wz.reshape(-1, fo).T, a.reshape(-1, fi), out=wbar)
+        wz = np.multiply(z, w[:, None], out=_jet(scratch, *z.shape))
+        np.matmul(wz.reshape(-1, fo).T, a.reshape(-1, fi), out=wbar)
     return flat
 
 
@@ -280,12 +273,8 @@ def row_gram(p: ParamVector, ws: Workspace, seeds: np.ndarray):
             block = np.empty((m, fi * fo + fo))
             wrows, brows = next(layer_views(block, [(fi, fo)]))
             np.copyto(brows, zbar[0])
-            if a_in.ndim == 1:
-                np.multiply(zbar[0], a_in[:, None], out=wrows[:, :, 0])
-                wrows[:, :, 0] += zbar[1]
-            else:
-                # (m, fo, 4) @ (m, 4, fi): per row, the sum over the channels
-                np.matmul(zbar.transpose(1, 2, 0), a_in.transpose(1, 0, 2), out=wrows)
+            # (m, fo, 4) @ (m, 4, fi): per row, the sum over the channels
+            np.matmul(zbar.transpose(1, 2, 0), a_in.transpose(1, 0, 2), out=wrows)
             gram += np.matmul(block, block.T, out=prod)
             parts.append((block, None))
             continue

@@ -186,21 +186,27 @@ def tanh_jet_backward_alloc(t, z, abar):
     return zbar
 
 
+def product_alloc(a, w):
+    """a @ w over the stacked channel rows of a jet a (4, m, k); when k = 1
+    each row scales w's one row."""
+    if w.shape[0] == 1:
+        return np.einsum("cmk,kj->cmj", a, w)
+    return (a.reshape(-1, w.shape[0]) @ w).reshape(a.shape[:2] + (w.shape[1],))
+
+
 def forward_jet_batch_alloc(p, etas):
-    """(y, cache): the output jets and each layer's (a_in, z, t)."""
+    """(y, cache): the output jets and each layer's (a_in, z, t); the input
+    jet is (eta, 1, 0, 0)."""
     etas = np.asarray(etas, dtype=np.float64).ravel()
     n = etas.size
     layers = list(p.layers())
     cache = []
-    a = etas
+    a = np.zeros((4, n, 1))
+    a[0, :, 0] = etas
+    a[1] = 1.0
     for li, (w, b) in enumerate(layers):
         fo = w.shape[0]
-        if li == 0:
-            z = np.zeros((4, n, fo))
-            np.multiply.outer(etas, w[:, 0], out=z[0])
-            z[1] = w[:, 0]
-        else:
-            z = (a.reshape(4 * n, -1) @ w.T).reshape(4, n, fo)
+        z = product_alloc(a, w.T)
         z[0] += b
         if li < len(layers) - 1:
             zf = z.reshape(4, n * fo)
@@ -226,8 +232,8 @@ def layer_blocks(values, shapes):
 def row_adjoints_alloc(p, cache, seeds):
     """Each layer's (zbar, a_in), first layer first: the per-row adjoint of
     its pre-activation jet (4, m, fo) for the output adjoints `seeds`
-    (4, m), one column per row, and its input jet from the cache (the etas
-    at layer 0)."""
+    (4, m), one column per row, and its input jet (4, m, fi) from the
+    cache."""
     m = seeds.shape[1]
     layers = list(p.layers())
     factors = []
@@ -241,23 +247,19 @@ def row_adjoints_alloc(p, cache, seeds):
             zbar = zbar.reshape(4, m, fo)
         factors.append((zbar, a_in))
         if li > 0:
-            zbar = zbar * w[0] if fo == 1 else (zbar.reshape(4 * m, fo) @ w).reshape(4, m, -1)
+            zbar = product_alloc(zbar, w)
     return factors[::-1]
 
 
 def backward_jet_batch_alloc(p, cache, seeds, w):
     """J'w from the per-row adjoints: w'zbar_0 for each layer's biases and
-    the stacked (w * zbar)' a_in for its weights, (w * eta)'zbar_0 +
-    w'zbar_1 at layer 0."""
+    the stacked (w * zbar)' a_in for its weights."""
     m = w.size
     flat = np.empty(len(p))
     for (wbar, bbar), (zbar, a_in) in zip(layer_blocks(flat, p.shapes), row_adjoints_alloc(p, cache, seeds)):
         fo, fi = wbar.shape
         np.matmul(w, zbar[0], out=bbar)
-        if a_in.ndim == 1:
-            np.add(np.matmul(w * a_in, zbar[0]), np.matmul(w, zbar[1]), out=wbar[:, 0])
-        else:
-            np.matmul((zbar * w[:, None]).reshape(4 * m, fo).T, a_in.reshape(4 * m, fi), out=wbar)
+        np.matmul((zbar * w[:, None]).reshape(4 * m, fo).T, a_in.reshape(4 * m, fi), out=wbar)
     return flat
 
 
@@ -281,13 +283,9 @@ def row_jacobian(p, cache, seeds, out):
     blocks = layer_blocks(out, p.shapes)
     for (wrows, brows), (zbar, a_in) in zip(blocks, row_adjoints_alloc(p, cache, seeds)):
         np.copyto(brows, zbar[0])
-        if a_in.ndim == 1:
-            np.multiply(zbar[0], a_in[:, None], out=wrows[:, :, 0])
-            wrows[:, :, 0] += zbar[1]
-        else:
-            # per row, the weight adjoint is the sum over channels c of
-            # zbar[c] (fo) outer a_in[c] (fi): (m, fo, 4) @ (m, 4, fi)
-            np.matmul(zbar.transpose(1, 2, 0), a_in.transpose(1, 0, 2), out=wrows)
+        # per row, the weight adjoint is the sum over channels c of
+        # zbar[c] (fo) outer a_in[c] (fi): (m, fo, 4) @ (m, 4, fi)
+        np.matmul(zbar.transpose(1, 2, 0), a_in.transpose(1, 0, 2), out=wrows)
     return out
 
 

@@ -42,14 +42,13 @@ def test_backward_matches_finite_differences():
             assert zbar[ch, i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
-@pytest.mark.parametrize("rows", [4, 2])
-def test_backward_into_its_own_input_jet_gives_the_same_bytes(rows):
-    # the reverse pass writes each layer's adjoint over that layer's z (two
-    # rows at layer 0): the kernel reads all of z before its first write
+def test_backward_into_its_own_input_jet_gives_the_same_bytes():
+    # the reverse pass writes each layer's adjoint over that layer's z: the
+    # kernel reads all of z before its first write
     z, abar = random_jets(300, seed=3), random_jets(300, seed=4)
     t = forward(z)[0]
     scratch = np.empty(7 * z.shape[1])
-    want = kernels.tanh_jet_backward(t, z, abar, out=np.empty((rows, 300)), scratch=scratch)
-    zbar = kernels.tanh_jet_backward(t, z, abar, out=z[:rows], scratch=scratch)
+    want = kernels.tanh_jet_backward(t, z, abar, out=np.empty((4, 300)), scratch=scratch)
+    zbar = kernels.tanh_jet_backward(t, z, abar, out=z, scratch=scratch)
     assert np.shares_memory(zbar, z)
     assert zbar.tobytes() == want.tobytes()

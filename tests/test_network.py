@@ -89,11 +89,12 @@ def test_batch_matches_scalar_path():
         np.testing.assert_allclose(y[:, k], [j.v, j.d1, j.d2, j.d3], rtol=1e-11, atol=1e-13)
 
 
-@pytest.mark.parametrize("depth,width", [(2, 100), (3, 12)])
-def test_layer0_outer_product_matches_scalar_and_fd(depth, width):
-    # the batched pass forms layer 0 from the input jet (eta, 1, 0, 0) as an
-    # outer product and takes its weight adjoint from two reductions; the
-    # scalar jet path and finite differences treat it as any other layer
+@pytest.mark.parametrize("depth,width", [(2, 100), (3, 12), (1, 8), (3, 1)])
+def test_fan1_broadcasts_match_scalar_and_fd(depth, width):
+    # the batched passes form a product over a fan-in of 1 (layer 0, whose
+    # input jet is (eta, 1, 0, 0), and every layer at width 1) or a fan-out
+    # of 1 (the output layer, in reverse) as a broadcast; the scalar jet
+    # path and finite differences treat every layer alike
     cfg = NetworkConfig(depth=depth, width=width, seed=4)
     p = init_params(cfg)
     p = ParamVector(p.values + 0.05 * np.random.default_rng(1).normal(size=len(p)), p.shapes)
@@ -105,8 +106,10 @@ def test_layer0_outer_product_matches_scalar_and_fd(depth, width):
     grid = CollocationGrid(0.0, 8.0, 20)
     rng = np.random.default_rng(2)
     # every layer-0 weight and bias, and a sample of the other parameters
+    # (all of them in a network with fewer than 20 others)
+    rest = np.arange(2 * width, len(p))
     coords = np.concatenate([np.arange(2 * width),
-                             rng.choice(np.arange(2 * width, len(p)), size=20, replace=False)])
+                             rng.choice(rest, size=min(20, rest.size), replace=False)])
     grad = loss_and_grad(p, grid).grad[coords]
     fd = fd_gradient_coords(lambda v: loss_total(ParamVector(v, p.shapes), grid).total,
                             p.values, coords)
