@@ -77,7 +77,7 @@ class RunConfig:
         if self.mode and self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}")
         # the largest single forward pass of train or probe-negative, and
-        # the refinement's G = J J', eigh and layer factors held beside it
+        # the refinement's second workspace, G = J J' and eigh beside it
         rows = max(row_count(self.grid.n, False), row_count(self.probe.n, True))
         check_workspace(self.network, max(rows, probe_points(self.probe)),
                         held=lm_bytes(self.network, rows))

@@ -235,16 +235,14 @@ def _factors(p: ParamVector, ws: Workspace, seeds: np.ndarray):
 def _jt(p: ParamVector, factors, w: np.ndarray, scratch: np.ndarray):
     """J'w in ParamVector's layout from each layer's factors (z, a): w'z_0
     for the biases and (w * z)' a over the 4 m stacked channel rows for the
-    weights, with w * z formed in `scratch`.  A layer whose a is None holds
-    its m rows of J in z."""
+    weights, with w * z formed in `scratch`.  The factors are read at the
+    call and not kept, so a map built on _jt (row_gram's jt) is valid while
+    their buffers hold them; the returned array is fresh."""
     flat = np.empty(len(p))
     off = 0
     for (fi, fo), (z, a) in zip(p.shapes, factors):
         out = flat[off : off + fi * fo + fo]
         off += out.size
-        if a is None:
-            np.matmul(w, z, out=out)
-            continue
         wbar, bbar = out[: fi * fo].reshape(fo, fi), out[fi * fo :]
         np.matmul(w, z[0], out=bbar)
         wz = np.multiply(z, w[:, None], out=_jet(scratch, *z.shape))
@@ -261,24 +259,22 @@ def row_gram(p: ParamVector, ws: Workspace, seeds: np.ndarray):
     zbar[c, k] outer a[c, k], so its part of G is Z_0 Z_0' (the bias) plus
     the sum over channel pairs (c, d) of (Z_c Z_d') * (A_c A_d'),
     elementwise.  A layer with fan_in or fan_out 1 builds its m-row block
-    of J instead.  The map reads copies of these, so it stays valid after
-    `ws` is reused; it forms its products in ws.abar.
+    of J for G instead.  The map is backward_jet_batch's own reduction
+    (_jt over _factors): it reads `ws` in place and forms its products in
+    ws.abar, so it is valid only until `ws` is next written.
     """
     m = seeds.shape[1]
     gram = np.zeros((m, m))
     prod, other = np.empty((2, m, m))
-    parts = []
-    for (fi, fo), (zbar, a_in) in zip(p.shapes, _factors(p, ws, seeds)):
+    for (fi, fo), (z, a) in zip(p.shapes, _factors(p, ws, seeds)):
         if fi == 1 or fo == 1:
             block = np.empty((m, fi * fo + fo))
             wrows, brows = next(layer_views(block, [(fi, fo)]))
-            np.copyto(brows, zbar[0])
+            np.copyto(brows, z[0])
             # (m, fo, 4) @ (m, 4, fi): per row, the sum over the channels
-            np.matmul(zbar.transpose(1, 2, 0), a_in.transpose(1, 0, 2), out=wrows)
+            np.matmul(z.transpose(1, 2, 0), a.transpose(1, 0, 2), out=wrows)
             gram += np.matmul(block, block.T, out=prod)
-            parts.append((block, None))
             continue
-        z, a = zbar.copy(), a_in.copy()
         gram += np.matmul(z[0], z[0].T, out=prod)
         for c in range(4):
             for d in range(c, 4):
@@ -287,8 +283,7 @@ def row_gram(p: ParamVector, ws: Workspace, seeds: np.ndarray):
                 gram += prod
                 if d > c:
                     gram += prod.T
-        parts.append((z, a))
-    return gram, lambda w: _jt(p, parts, w, ws.abar)
+    return gram, lambda w: _jt(p, _factors(p, ws, seeds), w, ws.abar)
 
 
 def save_checkpoint(path, cfg: NetworkConfig, p: ParamVector) -> None:

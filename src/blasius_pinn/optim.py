@@ -25,7 +25,7 @@ import numpy as np
 
 from .grad import DivergenceError, loss_and_grad, residuals
 from .loss import CollocationGrid, LossBreakdown, loss_total, row_count
-from .network import NetworkConfig, ParamVector, Workspace, init_params, row_gram
+from .network import NetworkConfig, ParamVector, Workspace, init_params, row_gram, workspace_bytes
 
 ADAM_BETA1 = 0.9             # first-moment decay
 ADAM_BETA2 = 0.999           # second-moment decay
@@ -49,24 +49,21 @@ BLAS_BUFFER_BYTES = 2 ** 25  # OpenBLAS's packing buffers: 10-16 MiB touched at 
 
 def lm_bytes(cfg: NetworkConfig, rows: int) -> int:
     """Peak bytes of a Levenberg-Marquardt step for cfg's network at m rows,
-    beside the jet workspace.
+    beside the jet workspace that evaluations and probes write into.
 
-    Live at the peak, while eigh runs: network.row_gram's copies of the
-    layers' factors, which it reads from the per-row adjoints and input
-    jets in the workspace (the first and the last layer's m-row blocks of
-    J, m (3 w + 1), and 4 m (fi + fo) adjoint and input jets for each layer
-    between; every layer's block when w = 1), G (m^2) and the 4 m^2 that
-    eigh (LAPACK dsyevd) holds beside G: its copy, workspace and
-    eigenvectors.  row_gram's 2 m^2 of pair products are freed before eigh
-    runs.  When the next point's G forms, the previous step's G,
-    eigenvectors and factors are freed, and only m- and parameter-sized
-    arrays stay live.  On top, a second factor-sized set and
-    BLAS_BUFFER_BYTES: the products of J'w, the heap that the allocator
-    keeps from freed arrays and the BLAS library's packing buffers.
+    Live at the peak, while eigh runs: the second workspace, at the m rows'
+    points, that holds the point the step is taken from (network.row_gram
+    and its map jt read it in place), G (m^2) and the 4 m^2 that eigh
+    (LAPACK dsyevd) holds beside G: its copy, workspace and eigenvectors.
+    row_gram's 2 m^2 of pair products are freed before eigh runs.  On top,
+    the m-row blocks of J that row_gram forms for G at the first and the
+    last layer, m (3 w + 1) (every layer's when w = 1), and
+    BLAS_BUFFER_BYTES: the heap that the allocator keeps from freed arrays
+    and the BLAS library's packing buffers.
     """
     w = cfg.width
-    factors = cfg.param_count() if w == 1 else 3 * w + 1 + 8 * w * (cfg.depth - 1)
-    return 8 * rows * (2 * factors + 5 * rows) + BLAS_BUFFER_BYTES
+    blocks = cfg.param_count() if w == 1 else 3 * w + 1
+    return workspace_bytes(cfg, rows) + 8 * rows * (blocks + 5 * rows) + BLAS_BUFFER_BYTES
 
 
 @dataclass(frozen=True)
@@ -303,8 +300,9 @@ def lm_minimize(evaluate, probe, x0: np.ndarray, cfg: LbfgsConfig) -> LbfgsResul
     and rows() -> (r, G, jt) gives that point's rows, G = J J' (m x m) and
     the map jt: w -> J'w for their Jacobian J (m x len(x)).  rows may read
     what its evaluation left behind: it is called at most once, at x0 or an
-    accepted trial, before any later evaluate or probe.  probe(x) -> r gives
-    the rows alone, finite or not, at one point per trial.
+    accepted trial, before any later evaluate or probe, and its G and jt
+    stay valid until the next point's rows().  probe(x) -> r gives the rows
+    alone, finite or not, at one point per trial.
 
     The velocity is delta = -J' u, u = (G + lam I)^-1 r: one eigensolve of
     G per accepted point serves every damping tried there, and gives
@@ -412,37 +410,41 @@ def train(
     then refine with Levenberg-Marquardt (lm_minimize) under cfg_lbfgs's
     budget.  With no Adam step the refinement starts at init_params.
 
-    Both phases evaluate through optim.loss_and_grad in one workspace at
-    the rows' m points.  A refinement point's rows() keeps only its rows and
-    seeds, and row_gram reads the adjoints that its evaluation left in the
-    workspace.  Returns the best parameters visited across both phases.
+    Both phases evaluate through `evaluate` (optim.loss_and_grad); it and
+    the probe write into wss[0], one of two workspaces at the rows' m
+    points.  A point's rows() moves the workspace its evaluation filled to
+    wss[1], where row_gram's G and jt read it in place until the next
+    point's rows().  Returns the best parameters visited in both phases.
     """
     t_start = time.perf_counter()
     p = init_params(cfg_net)
     shapes = p.shapes
-    ws = Workspace(shapes, row_count(grid.n, pin is not None))
+    wss = [Workspace(shapes, row_count(grid.n, pin is not None)) for _ in range(2)]
 
     def evaluate(x: np.ndarray):
-        res = loss_and_grad(ParamVector(x, shapes), grid, pin=pin, ws=ws)
+        res = loss_and_grad(ParamVector(x, shapes), grid, pin=pin, ws=wss[0])
         r, seeds = res.r, res.seeds
-        return res.loss.total, res.grad, lambda: (r,) + row_gram(ParamVector(x, shapes), ws, seeds)
+
+        def rows():
+            wss.reverse()
+            return (r,) + row_gram(ParamVector(x, shapes), wss[1], seeds)
+        return res.loss.total, res.grad, rows
 
     def probe(x: np.ndarray):
-        return residuals(ParamVector(x, shapes), grid, pin=pin, ws=ws)
+        return residuals(ParamVector(x, shapes), grid, pin=pin, ws=wss[0])
 
     state = AdamState.fresh(p.values)
     adam_curve: list[float] = []
     # adam_step returns fresh arrays, so Adam's iterates are held by reference
     best_x, best_f = state.x, np.inf
     for _ in range(cfg_adam.max_steps):
-        res = loss_and_grad(ParamVector(state.x, shapes), grid, pin=pin, ws=ws)
-        f = res.loss.total
+        f, g, _ = evaluate(state.x)
         adam_curve.append(f)
         if f < best_f:
             best_f, best_x = f, state.x
         if f <= cfg_adam.switch_tol:
             break
-        state = adam_step(state, res.grad, cfg_adam)
+        state = adam_step(state, g, cfg_adam)
 
     # Levenberg-Marquardt starts at Adam's best point, or at init_params
     # when Adam took no step, and only moves downhill

@@ -115,18 +115,18 @@ class TestConfigParsing:
             parse_config(lines[0])
 
     def test_lbfgs_pairs_count_toward_the_memory_bound(self):
-        # 9,706,201 parameters: the default probe's jet workspace takes 1.97
-        # GiB, under the bound, but the refinement's layer factors for the
-        # probe's 104 rows take 0.376 GiB beside it; parsing allocates
+        # 9,706,201 parameters: the default probe's jet workspace takes 1.96
+        # GiB, under the bound, but the refinement's second workspace for the
+        # probe's 104 rows takes 0.209 GiB beside it; parsing allocates
         # neither.  At depth 67 both fit.
-        with pytest.raises(ConfigError, match="0.376 GiB of optimizer state"):
+        with pytest.raises(ConfigError, match="0.209 GiB of optimizer state"):
             parse_config("network.depth = 80\nnetwork.width = 350\n")
         assert parse_config("network.depth = 67\nnetwork.width = 350\n").network.depth == 67
 
     def test_jacobian_counts_toward_the_memory_bound(self, tmp_path, capsys):
-        # the default network at 30,000 points: a 0.69 GiB jet workspace,
+        # the default network at 30,000 points: a 0.605 GiB jet workspace,
         # but a 6.71 GiB J J' and 26.8 GiB more in eigh
-        with pytest.raises(ConfigError, match="34.1 GiB of optimizer state"):
+        with pytest.raises(ConfigError, match="34.2 GiB of optimizer state"):
             parse_config("grid.n = 30000\n")
         assert main(["train", "--config", write_cfg(tmp_path, "grid.n = 30000\n"),
                      "--out", str(tmp_path)]) == 2
@@ -135,13 +135,13 @@ class TestConfigParsing:
 
     def test_eigh_counts_toward_the_memory_bound(self):
         # at 8,000 points J J' (0.48 GiB) fits, but eigh's copy of J J', its
-        # workspace and the eigenvectors take 1.91 GiB more; 6,792 points
+        # workspace and the eigenvectors take 1.91 GiB more; 6,717 points
         # is the most that fits
-        with pytest.raises(ConfigError, match="2.55 GiB of optimizer state"):
+        with pytest.raises(ConfigError, match="2.6 GiB of optimizer state"):
             parse_config("grid.n = 8000\n")
-        assert parse_config("grid.n = 6792\n").grid.n == 6792
+        assert parse_config("grid.n = 6717\n").grid.n == 6717
         with pytest.raises(ConfigError, match="optimizer state"):
-            parse_config("grid.n = 6793\n")
+            parse_config("grid.n = 6718\n")
 
     def test_key_table(self):
         # a new config key is a reviewed change to this list

@@ -575,6 +575,34 @@ def test_train_forms_g_only_at_points_it_steps_from(monkeypatch):
     assert counts["gram"] == len(rep.lbfgs_history) + (rep.lbfgs_status == "stalled")
 
 
+@pytest.mark.parametrize("depth,width", [(2, 8), (3, 1)], ids=["depth2_width8", "depth3_width1"])
+def test_the_map_of_the_point_stepped_from_outlives_its_trials(monkeypatch, depth, width):
+    # jt reads the per-row adjoints of the point LM steps from in place:
+    # every later call, after probes and rejected trials have run, gives
+    # the bytes it gave when it was made
+    counts = {"loss": 0, "jt": 0}
+    count_calls(monkeypatch, counts, "loss", optim, "loss_and_grad")
+    row_gram = optim.row_gram
+
+    def checked_row_gram(p, ws, seeds):
+        gram, jt = row_gram(p, ws, seeds)
+        w0 = np.random.default_rng(0).normal(size=seeds.shape[1])
+        want = jt(w0).tobytes()
+
+        def checked(w):
+            counts["jt"] += 1
+            assert jt(w0).tobytes() == want
+            return jt(w)
+        return gram, checked
+
+    monkeypatch.setattr(optim, "row_gram", checked_row_gram)
+    _, rep = train(NetworkConfig(depth=depth, width=width, seed=0), AdamConfig(),
+                   LbfgsConfig(max_iters=25), CollocationGrid(0.0, 8.0, 20))
+    rejected = counts["loss"] - 1 - len(rep.lbfgs_history)
+    assert rep.lbfgs_history and rejected > 0
+    assert counts["jt"] >= counts["loss"] - 1
+
+
 def test_refinement_never_holds_an_array_the_size_of_the_jacobian():
     # the default network's 103 rows and 10,401 parameters: J alone would
     # take 8 m P bytes (8.17 MiB); G = J J' and J'w come from each layer's
